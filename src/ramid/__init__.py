@@ -8,6 +8,7 @@ from .construct import (
     RootPair,
     build_tuple,
     gamma_beta,
+    rational_identity,
     recover_k,
     solve_roots,
 )

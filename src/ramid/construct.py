@@ -12,6 +12,24 @@ root, the assembled (t, A, x, y, z) satisfies the squared relation
 radicand = rhs^2 identically; it is a genuine identity exactly when the
 right-side product is also nonnegative (``verify_tuple`` checks that).
 
+All of this is decided in integers over one common denominator.  With
+t = tn/td, A = an/ad, z = zn/zd and k = kn/kd in lowest terms, let
+w = (an^2 - ad^2) tn, P = w - an^2 td and Q = w + an^2 td; then
+
+    M = kd zd ad^2 td  (> 0)
+    G = kn (P zn - Q zd)           gamma = G / M
+    B = kn (Q zn - P zd) - M       beta  = B / M
+    N = G^2 - 4 B M                gamma^2 - 4 beta = N / M^2
+
+Since M^2 is a nonzero square, the discriminant is the square of a rational
+exactly when N is: if N = r^2 it is (r/M)^2, and if it is (p/q)^2 then
+N = (pM/q)^2, and an integer that is the square of a rational is the square
+of an integer.  So the roots are rational exactly when N >= 0 is a perfect
+square, and then x, y = (G -+ isqrt(N)) / (2M).  The condition flags are
+B != 0, M - G + B != 0 (1 is not a root) and M + G + B != 0 (-1 is not a
+root).  ``rational_identity`` uses this to reject irrational draws without
+building the surd roots that ``build_tuple`` reports.
+
 The inverse direction recovers k = (xy - (x+y) + 1) / (2 A^2 (z+1)) and
 accepts it only if the companion equation
 xy + (x+y) + 1 = 2 k t (A^2-1)(z-1) holds exactly.
@@ -22,9 +40,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from .errors import DegenerateDenominatorError, TrivialInputError
-from .exact import Surd, format_rational, rational_sqrt, squarefree_decompose
+from .exact import (
+    Surd,
+    as_rational,
+    format_rational,
+    rational_sqrt,
+    squarefree_decompose,
+)
 from .identity import IdentityTuple
 
 _HALF = Fraction(1, 2)
@@ -109,9 +134,11 @@ class ConstructionResult:
         return json.dumps(self.to_json_dict())
 
 
-def _check_construction_inputs(
-    t: Fraction, A: Fraction, z: Fraction, k: Fraction
-) -> None:
+def _exact_inputs(
+    t: int | Fraction, A: int | Fraction, z: int | Fraction, k: int | Fraction
+) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    t, A = as_rational("t", t), as_rational("A", A)
+    z, k = as_rational("z", z), as_rational("k", k)
     if t == 0:
         raise TrivialInputError("t must be nonzero")
     if k == 0:
@@ -119,17 +146,30 @@ def _check_construction_inputs(
     for name, value in (("A", A), ("z", z)):
         if value in (0, 1, -1):
             raise TrivialInputError(f"{name} must not be 0, 1 or -1 (got {value})")
+    return t, A, z, k
+
+
+def _cleared(
+    t: Fraction, A: Fraction, z: Fraction, k: Fraction
+) -> tuple[int, int, int, int]:
+    """(G, B, M, N) of the module docstring: gamma = G/M, beta = B/M, M > 0
+    and discriminant N/M^2."""
+    tn, td = t.numerator, t.denominator
+    an2, ad2 = A.numerator**2, A.denominator**2
+    zn, zd = z.numerator, z.denominator
+    w = (an2 - ad2) * tn
+    p, q = w - an2 * td, w + an2 * td
+    m = k.denominator * zd * ad2 * td
+    g = k.numerator * (p * zn - q * zd)
+    b = k.numerator * (q * zn - p * zd) - m
+    return g, b, m, g * g - 4 * b * m
 
 
 def gamma_beta(
-    t: Fraction, A: Fraction, z: Fraction, k: Fraction
+    t: int | Fraction, A: int | Fraction, z: int | Fraction, k: int | Fraction
 ) -> tuple[Fraction, Fraction]:
-    _check_construction_inputs(t, A, z, k)
-    u = (A * A - 1) * t
-    a2 = A * A
-    gamma = (u - a2) * k * z - (u + a2) * k
-    beta = (u + a2) * k * z - (u - a2) * k - 1
-    return gamma, beta
+    g, b, m, _ = _cleared(*_exact_inputs(t, A, z, k))
+    return Fraction(g, m), Fraction(b, m)
 
 
 def solve_roots(gamma: Fraction, beta: Fraction) -> RootPair:
@@ -156,19 +196,35 @@ def solve_roots(gamma: Fraction, beta: Fraction) -> RootPair:
 
 
 def build_tuple(
-    t: Fraction, A: Fraction, z: Fraction, k: Fraction
+    t: int | Fraction, A: int | Fraction, z: int | Fraction, k: int | Fraction
 ) -> ConstructionResult:
-    gamma, beta = gamma_beta(t, A, z, k)
-    disc = gamma * gamma - 4 * beta
-    roots = solve_roots(gamma, beta)
+    t, A, z, k = _exact_inputs(t, A, z, k)
+    g, b, m, n = _cleared(t, A, z, k)
+    gamma, beta = Fraction(g, m), Fraction(b, m)
     conditions = ConditionReport(
-        discriminant_nonnegative=disc >= 0,
-        beta_nonzero=beta != 0,
-        one_minus_gamma_plus_beta_nonzero=1 - gamma + beta != 0,
-        minus_one_not_root=1 + gamma + beta != 0,
-        inputs_nontrivial=True,  # gamma_beta already rejected trivial inputs
+        discriminant_nonnegative=n >= 0,
+        beta_nonzero=b != 0,
+        one_minus_gamma_plus_beta_nonzero=m - g + b != 0,
+        minus_one_not_root=m + g + b != 0,
+        inputs_nontrivial=True,  # _exact_inputs already rejected trivial inputs
     )
+    roots = solve_roots(gamma, beta)
+    disc = Fraction(n, m * m)
     return ConstructionResult(t, A, z, k, gamma, beta, disc, roots, conditions)
+
+
+def rational_identity(
+    t: int | Fraction, A: int | Fraction, z: int | Fraction, k: int | Fraction
+) -> IdentityTuple | None:
+    """``build_tuple(t, A, z, k).identity()``, except that constructions whose
+    roots are not rational are rejected in integers first, without building
+    their surd roots.  The rest (a few percent of ``discover``'s draws) go
+    through ``build_tuple``, the one place that orders and assembles roots."""
+    t, A, z, k = _exact_inputs(t, A, z, k)
+    n = _cleared(t, A, z, k)[3]
+    if n < 0 or isqrt(n) ** 2 != n:
+        return None
+    return build_tuple(t, A, z, k).identity()
 
 
 def recover_k(identity: IdentityTuple) -> Fraction | None:

@@ -13,7 +13,7 @@ import re
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .errors import IncompatibleFieldError
+from .errors import IncompatibleFieldError, PreconditionError
 
 Rational = Fraction
 
@@ -31,6 +31,18 @@ def parse_rational(text: str) -> Fraction:
     if not _RATIONAL_RE.match(text):
         raise ValueError(f"not a rational literal: {text!r}")
     return Fraction(text)
+
+
+def as_rational(name: str, value: int | Fraction) -> Fraction:
+    """``value`` as a ``Fraction``: ints are converted, anything else (floats
+    included) is rejected, so exact entry points never compute in floats."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    raise PreconditionError(
+        f"{name} must be an int or a Fraction (got {type(value).__name__} {value!r})"
+    )
 
 
 def format_rational(value: Fraction) -> str:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .construct import build_tuple
+from .construct import rational_identity
 from .errors import ConfigurationError, FamilyDomainError
 from .exact import Surd
 from .identity import IdentityTuple, VariationIdentity, verify_tuple
@@ -156,7 +156,9 @@ def discover(
 
     k is drawn as 1/m or p/m with 1 <= m <= k_den_max and |p| <= k_den_max.
     Keeps constructions with rational roots, all condition flags true and a
-    verifying tuple; results are normalized, deduplicated and sorted.
+    verifying tuple; results are normalized, deduplicated and sorted.  Draws
+    whose roots are irrational (most of them) are rejected in integers by
+    ``rational_identity``, without building their surd roots.
     """
     if trials <= 0:
         raise ConfigurationError(f"trials must be positive (got {trials})")
@@ -186,10 +188,7 @@ def discover(
             if p == 0:
                 continue
             k = Fraction(p, m)
-        result = build_tuple(t, Fraction(A), Fraction(z), k)
-        if result.roots.kind != "rational" or not result.conditions.all_satisfied():
-            continue
-        candidate = result.identity()
+        candidate = rational_identity(t, A, z, k)
         if candidate is not None and verify_tuple(candidate):
             found.add(normalize_tuple(candidate))
     return sorted(found)

@@ -5,7 +5,8 @@ An ``IdentityTuple`` (t, A, x, y, z) asserts
     sqrt(t (1 - 1/A^2)(1 - 1/x^2)(1 - 1/y^2)(1 - 1/z^2))
         = (1 + 1/x)(1 + 1/y)(1 + 1/z)
 
-with all five entries rational.  A ``VariationIdentity`` generalizes the
+with all five entries rational (ints are converted to ``Fraction``, floats
+are rejected).  A ``VariationIdentity`` generalizes the
 shape: a rational scale, any number of radicand factors ``(1 - 1/v^2)`` and
 any number of signed right-side factors ``(1 +/- 1/w)``, with the values
 drawn from a single real quadratic field.  Verification never takes a square
@@ -22,7 +23,14 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import IncompatibleFieldError, PreconditionError, TrivialInputError
-from .exact import Surd, format_rational, is_prime, parse_rational, parse_surd
+from .exact import (
+    Surd,
+    as_rational,
+    format_rational,
+    is_prime,
+    parse_rational,
+    parse_surd,
+)
 
 _ONE = Fraction(1)
 
@@ -64,6 +72,11 @@ class IdentityTuple:
     z: Fraction
 
     def __post_init__(self) -> None:
+        # ints become Fractions (1/x of an int is a float); floats are rejected
+        t, A, x, y, z = self.t, self.A, self.x, self.y, self.z
+        if not (type(t) is type(A) is type(x) is type(y) is type(z) is Fraction):
+            for name in ("t", "A", "x", "y", "z"):
+                object.__setattr__(self, name, as_rational(name, getattr(self, name)))
         if self.t == 0:
             raise TrivialInputError("t must be nonzero")
         for name in ("A", "x", "y", "z"):

@@ -4,14 +4,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from conftest import float_agrees
 from ramid import (
     ConstructionResult,
     IdentityTuple,
+    PreconditionError,
     Surd,
     TrivialInputError,
     build_tuple,
     gamma_beta,
+    rational_identity,
     recover_k,
     solve_roots,
     verify_tuple,
@@ -41,6 +46,39 @@ def test_gamma_beta_long_variation_instance():
 def test_gamma_beta_rejects_trivial_inputs(t, A, z, k):
     with pytest.raises(TrivialInputError):
         gamma_beta(F(t), F(A), F(z), F(k))
+
+
+def test_construction_entry_points_coerce_ints():
+    gamma, beta = gamma_beta(2, 3, 19, F(1, 6))
+    assert (gamma, beta) == (18, 77) and type(gamma) is type(beta) is Fraction
+    result = build_tuple(2, 3, 19, F(1, 6))
+    assert all(type(v) is Fraction for v in (result.t, result.A, result.z, result.k))
+    assert result.identity() == IdentityTuple(F(2), F(3), F(7), F(11), F(19))
+    assert rational_identity(2, 3, 19, F(1, 6)) == result.identity()
+
+
+@pytest.mark.parametrize("entry", [gamma_beta, build_tuple, rational_identity])
+@pytest.mark.parametrize("slot", range(4))
+def test_construction_entry_points_reject_floats(entry, slot):
+    args = [F(2), F(3), F(19), F(1, 6)]
+    args[slot] = float(args[slot])
+    with pytest.raises(PreconditionError):
+        entry(*args)
+
+
+def test_rational_identity_rejects_irrational_and_negative_discriminants():
+    assert build_tuple(F(2), F(3), F(19), F(1, 5)).roots.kind == "surd"
+    assert rational_identity(F(2), F(3), F(19), F(1, 5)) is None
+    assert build_tuple(F(2), F(3), F(2), F(1, 2)).roots.kind == "none"
+    assert rational_identity(F(2), F(3), F(2), F(1, 2)) is None
+
+
+def test_rational_identity_keeps_a_double_root():
+    # N = 0: x = y = 5
+    assert build_tuple(F(2), F(2), F(-5), F(-1, 2)).discriminant == 0
+    identity = rational_identity(F(2), F(2), F(-5), F(-1, 2))
+    assert identity == IdentityTuple(F(2), F(2), F(5), F(5), F(-5))
+    assert verify_tuple(identity)
 
 
 def test_solve_roots_rational_pair_larger_first():
@@ -204,3 +242,44 @@ def test_construction_result_json_shape():
         "minus_one_not_root",
         "inputs_nontrivial",
     }
+
+
+_RATIONALS = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+_NONZERO = _RATIONALS.filter(lambda v: v != 0)
+_NONTRIVIAL = _RATIONALS.filter(lambda v: v not in (0, 1, -1))
+
+
+@st.composite
+def _construction_inputs(draw):
+    """(t, A, z, k): k is either drawn freely (roots mostly irrational) or
+    solved from a drawn rational root x, so that both outcomes are covered."""
+    t, A, z = draw(_NONZERO), draw(_NONTRIVIAL), draw(_NONTRIVIAL)
+    if draw(st.booleans()):
+        return t, A, z, draw(_NONZERO)
+    x = draw(_NONTRIVIAL)
+    u = (A * A - 1) * t
+    g = (u - A * A) * z - (u + A * A)  # gamma / k
+    h = (u + A * A) * z - (u - A * A)  # (beta + 1) / k
+    assume(h != g * x)
+    return t, A, z, (1 - x * x) / (h - g * x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_construction_inputs())
+def test_gamma_beta_matches_the_fraction_formula(inputs):
+    t, A, z, k = inputs
+    u = (A * A - 1) * t
+    gamma = (u - A * A) * k * z - (u + A * A) * k
+    beta = (u + A * A) * k * z - (u - A * A) * k - 1
+    assert gamma_beta(t, A, z, k) == (gamma, beta)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_construction_inputs())
+def test_rational_identity_agrees_with_build_tuple(inputs):
+    identity = rational_identity(*inputs)
+    assert identity == build_tuple(*inputs).identity()
+    if identity is not None:
+        assert identity.radicand() == identity.rhs_product() ** 2
+        if verify_tuple(identity):
+            assert float_agrees(identity)

@@ -30,6 +30,22 @@ def test_ramanujan_notebook_identity():
     assert verify_tuple(tup(2, 3, 7, 11, 19))
 
 
+def test_int_entries_become_fractions():
+    identity = IdentityTuple(2, 3, 7, 11, 19)
+    assert all(type(v) is Fraction for v in (identity.t, identity.A, identity.x,
+                                             identity.y, identity.z))
+    assert identity == tup(2, 3, 7, 11, 19)
+    assert verify_tuple(identity)
+
+
+@pytest.mark.parametrize("field", ["t", "A", "x", "y", "z"])
+def test_float_entry_rejected(field):
+    values = {"t": F(2), "A": F(3), "x": F(7), "y": F(11), "z": F(19)}
+    values[field] = float(values[field])
+    with pytest.raises(PreconditionError, match=field):
+        IdentityTuple(**values)
+
+
 def test_first_appendix_identity():
     assert verify_tuple(tup(2, 6, 7, 9, 13))
 
