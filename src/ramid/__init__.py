@@ -31,16 +31,12 @@ from .errors import (
     TrivialInputError,
 )
 from .exact import (
-    Rational,
     Surd,
-    format_rational,
     is_prime,
     parse_rational,
     parse_surd,
     rational_sqrt,
     squarefree_decompose,
-    surd_mul,
-    surd_normalize,
 )
 from .families import (
     FAMILY_NAMES,
@@ -58,6 +54,7 @@ from .identity import (
     IdentityTuple,
     VariationIdentity,
     classify,
+    verify,
     verify_tuple,
     verify_variation,
 )

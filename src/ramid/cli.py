@@ -2,14 +2,12 @@
 
 Exit codes: 0 success, 1 verification-false, 2 usage or domain error.
 Rationals on the command line use the exact ``p/q`` or integer grammar.
-``RAMID_THREADS`` caps the worker count used by ``enumerate``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -17,13 +15,7 @@ from . import enumeration, families, render
 from .construct import build_tuple
 from .errors import PreconditionError, RamidError
 from .exact import parse_rational
-from .identity import (
-    IdentityTuple,
-    VariationIdentity,
-    classify,
-    verify_tuple,
-    verify_variation,
-)
+from .identity import IdentityTuple, VariationIdentity, classify, verify, verify_tuple
 
 EXIT_OK = 0
 EXIT_UNVERIFIED = 1
@@ -87,19 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _workers() -> int | None:
-    raw = os.environ.get("RAMID_THREADS")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise RamidError(f"RAMID_THREADS must be an integer (got {raw!r})")
-    if value < 1:
-        raise RamidError(f"RAMID_THREADS must be >= 1 (got {value})")
-    return value
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     identity = IdentityTuple(args.t, args.A, args.x, args.y, args.z)
     ok = verify_tuple(identity)
@@ -116,9 +95,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.klass == "super-perfect":
-        report = enumeration.enumerate_super_perfect(max_workers=_workers())
+        report = enumeration.enumerate_super_perfect()
     else:
-        report = enumeration.enumerate_perfect(max_workers=_workers())
+        report = enumeration.enumerate_perfect()
     if args.primes_only:
         report = enumeration.prime_filter(report)
     if args.out:
@@ -137,26 +116,15 @@ def _cmd_family(args: argparse.Namespace) -> int:
         for key, value in (("a", args.a), ("k", args.k), ("b", args.b), ("n", args.n))
         if value is not None
     }
-    needed = {
-        "rebak": {"a"},
-        "rebak-variant": {"a"},
-        "general-infinite": {"k"},
-        "long-identity": {"b", "n"},
-        "surd-high": {"a"},
-        "surd-low": {"a"},
-    }[args.name]
+    needed = set(families.FAMILIES[args.name][1])
     if set(params) != needed:
         raise RamidError(
             f"family {args.name} takes exactly {sorted(needed)} "
             f"(got {sorted(params)})"
         )
     identity = families.generate(args.name, params)
-    if isinstance(identity, IdentityTuple):
-        ok = verify_tuple(identity)
-        print(identity.to_json(classify(identity) if ok else None))
-    else:
-        ok = verify_variation(identity)
-        print(identity.to_json())
+    ok = verify(identity)
+    print(_to_json(identity, ok))
     return EXIT_OK if ok else EXIT_UNVERIFIED
 
 
@@ -174,11 +142,23 @@ def _cmd_discover(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _to_json(identity: IdentityTuple | VariationIdentity, verified: bool) -> str:
+    # A tuple that verifies carries its class tag.
+    if isinstance(identity, IdentityTuple):
+        return identity.to_json(classify(identity) if verified else None)
+    return identity.to_json()
+
+
 def _parse_identity_json(line: str) -> IdentityTuple | VariationIdentity:
-    data = json.loads(line)
-    if "radicand" in data:
-        return VariationIdentity.from_json_dict(data)
-    return IdentityTuple.from_json_dict(data)
+    try:
+        data = json.loads(line)
+        if not isinstance(data, dict):
+            raise ValueError("not a JSON object")
+        if "radicand" in data:
+            return VariationIdentity.from_json_dict(data)
+        return IdentityTuple.from_json_dict(data)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise RamidError(f"not an identity record ({exc!r}): {line}") from None
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
@@ -192,15 +172,10 @@ def _cmd_render(args: argparse.Namespace) -> int:
         elif args.format == "text":
             print(render.render_text(identity, unchecked=args.unchecked))
         else:
-            if isinstance(identity, IdentityTuple):
-                ok = verify_tuple(identity)
-                if not ok and not args.unchecked:
-                    raise PreconditionError(f"tuple does not verify: {line}")
-                print(identity.to_json(classify(identity) if ok else None))
-            else:
-                if not verify_variation(identity) and not args.unchecked:
-                    raise PreconditionError(f"variation does not verify: {line}")
-                print(identity.to_json())
+            ok = verify(identity)
+            if not ok and not args.unchecked:
+                raise PreconditionError(f"identity does not verify: {line}")
+            print(_to_json(identity, ok))
     return EXIT_OK
 
 

@@ -46,7 +46,6 @@ from .errors import DegenerateDenominatorError, TrivialInputError
 from .exact import (
     Surd,
     as_rational,
-    format_rational,
     rational_sqrt,
     squarefree_decompose,
 )
@@ -91,7 +90,7 @@ class RootPair:
     def to_json_dict(self) -> dict:
         d: dict = {"kind": self.kind}
         if self.rational is not None:
-            d["values"] = [format_rational(v) for v in self.rational]
+            d["values"] = [str(v) for v in self.rational]
         elif self.surd is not None:
             d["values"] = [str(v) for v in self.surd]
         return d
@@ -119,13 +118,13 @@ class ConstructionResult:
 
     def to_json_dict(self) -> dict:
         return {
-            "t": format_rational(self.t),
-            "A": format_rational(self.A),
-            "z": format_rational(self.z),
-            "k": format_rational(self.k),
-            "gamma": format_rational(self.gamma),
-            "beta": format_rational(self.beta),
-            "discriminant": format_rational(self.discriminant),
+            "t": str(self.t),
+            "A": str(self.A),
+            "z": str(self.z),
+            "k": str(self.k),
+            "gamma": str(self.gamma),
+            "beta": str(self.beta),
+            "discriminant": str(self.discriminant),
             "roots": self.roots.to_json_dict(),
             "conditions": self.conditions.to_json_dict(),
         }

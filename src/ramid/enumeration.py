@@ -30,14 +30,13 @@ cells where comparing A with x alone bounds nothing.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from math import isqrt
-from typing import Callable, Iterable, TextIO
+from typing import Callable, Iterable, Iterator, TextIO
 
-from .exact import is_prime
+from .exact import as_rational, is_prime
 from .identity import IdentityTuple, classify, verify_tuple
 
 SUPER_PERFECT_T_VALUES = range(2, 7)
@@ -70,7 +69,8 @@ def solve_z(t: Fraction | int, A: int, x: int, y: int) -> int | None:
     None covers both a non-integral completion and an integral one below 2,
     such as z = -27 for (2, 2, 6, 14).
     """
-    t = Fraction(t)
+    if type(t) is not int:  # an int has numerator t and denominator 1
+        t = as_rational("t", t)
     n = t.numerator * (A * A - 1) * (x - 1) * (y - 1)
     d = t.denominator * A * A * (x + 1) * (y + 1)
     if n <= d:
@@ -151,28 +151,17 @@ def _super_perfect_cells() -> list[tuple[int, int]]:
     return cells
 
 
-def _scan_super_cell(cell: tuple[int, int]) -> tuple[list[IdentityTuple], int]:
+def _scan_super_cell(cell: tuple[int, int]) -> Iterator[tuple[int, ...]]:
+    """Each candidate (t, A, x, y) of the cell, with the least admissible z."""
     t, A = cell
-    found: list[IdentityTuple] = []
-    examined = 0
     xs = super_x_interval(t, A)
     if xs is None:
-        return found, examined
+        return
     for x in range(xs[0], xs[1] + 1):
         ys = super_y_interval(t, A, x)
-        if ys is None:
-            continue
-        for y in range(ys[0], ys[1] + 1):
-            examined += 1
-            z = solve_z(t, A, x, y)
-            if z is not None and z > y:
-                identity = IdentityTuple(
-                    Fraction(t), Fraction(A), Fraction(x), Fraction(y), Fraction(z)
-                )
-                if not verify_tuple(identity):
-                    raise AssertionError(f"enumerated tuple fails to verify: {identity}")
-                found.append(identity)
-    return found, examined
+        if ys is not None:
+            for y in range(ys[0], ys[1] + 1):
+                yield t, A, x, y, y + 1
 
 
 def _perfect_x_max(t: int) -> int:
@@ -197,17 +186,16 @@ def _smallest_a_below(r: Fraction) -> int | None:
     return max(a, 2)
 
 
-def _scan_perfect_cell(cell: tuple[int, int]) -> tuple[list[IdentityTuple], int]:
+def _scan_perfect_cell(cell: tuple[int, int]) -> Iterator[tuple[int, ...]]:
+    """Each candidate (t, A, x, y) of the cell, with the least admissible z."""
     t, x = cell
-    found: list[IdentityTuple] = []
-    examined = 0
     fx = _fx(x)
     if fx >= t:
-        return found, examined
+        return
     r = Fraction(t) / fx
     a0 = _smallest_a_below(r)
     if a0 is None:
-        return found, examined
+        return
     m4 = r / _fa(a0)
     y_hi = _largest_y(m4.numerator, m4.denominator, strict=False)
     for y in range(x, y_hi + 1):
@@ -219,51 +207,42 @@ def _scan_perfect_cell(cell: tuple[int, int]) -> tuple[list[IdentityTuple], int]
         den = v * (p - q) - (p + q)
         a_cap_sq = p * (v - 1) // den
         for A in range(2, isqrt(a_cap_sq) + 1):
-            examined += 1
-            z = solve_z(t, A, x, y)
-            if z is not None and z >= y:
-                identity = IdentityTuple(
-                    Fraction(t), Fraction(A), Fraction(x), Fraction(y), Fraction(z)
-                )
-                if not verify_tuple(identity):
-                    raise AssertionError(f"enumerated tuple fails to verify: {identity}")
-                found.append(identity)
-    return found, examined
+            yield t, A, x, y, y
 
 
 def _run_cells(
     cells: Iterable[tuple[int, int]],
-    scan: Callable[[tuple[int, int]], tuple[list[IdentityTuple], int]],
-    max_workers: int | None,
+    scan: Callable[[tuple[int, int]], Iterator[tuple[int, ...]]],
 ) -> EnumerationReport:
+    """Complete every candidate of every cell to z, then dedup and sort the
+    integer tuples and build and verify each identity once."""
     start = time.perf_counter()
-    results: list[tuple[list[IdentityTuple], int]]
-    cells = list(cells)
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(scan, cells))
-    else:
-        results = [scan(cell) for cell in cells]
-    found: set[IdentityTuple] = set()
+    found: set[tuple[int, ...]] = set()
     examined = 0
-    for cell_found, cell_examined in results:
-        found.update(cell_found)
-        examined += cell_examined
+    for cell in cells:
+        for t, A, x, y, z_min in scan(cell):
+            examined += 1
+            z = solve_z(t, A, x, y)
+            if z is not None and z >= z_min:
+                found.add((t, A, x, y, z))
+    identities = tuple(IdentityTuple(*map(Fraction, v)) for v in sorted(found))
+    for identity in identities:
+        if not verify_tuple(identity):
+            raise AssertionError(f"enumerated tuple fails to verify: {identity}")
     elapsed = time.perf_counter() - start
-    return EnumerationReport(tuple(sorted(found)), examined, elapsed)
+    return EnumerationReport(identities, examined, elapsed)
 
 
 def enumerate_super_perfect(
-    max_workers: int | None = None,
     t_values: Iterable[int] = SUPER_PERFECT_T_VALUES,
 ) -> EnumerationReport:
     """All identities with integer entries and t < A < x < y < z, t in 2..6."""
     t_values = list(t_values)
     cells = [cell for cell in _super_perfect_cells() if cell[0] in t_values]
-    return _run_cells(cells, _scan_super_cell, max_workers)
+    return _run_cells(cells, _scan_super_cell)
 
 
-def enumerate_perfect(max_workers: int | None = None) -> EnumerationReport:
+def enumerate_perfect() -> EnumerationReport:
     """All identities with positive integer entries > 1, normalized to
     x <= y <= z (A unordered relative to x)."""
     cells = [
@@ -271,7 +250,7 @@ def enumerate_perfect(max_workers: int | None = None) -> EnumerationReport:
         for t in range(2, PERFECT_T_MAX + 1)
         for x in range(2, _perfect_x_max(t) + 1)
     ]
-    return _run_cells(cells, _scan_perfect_cell, max_workers)
+    return _run_cells(cells, _scan_perfect_cell)
 
 
 def prime_filter(report: EnumerationReport) -> EnumerationReport:

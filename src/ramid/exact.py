@@ -1,6 +1,6 @@
 """Exact scalar arithmetic: arbitrary-precision rationals and real quadratic surds.
 
-``Rational`` is ``fractions.Fraction`` (always reduced, positive denominator),
+Rationals are ``fractions.Fraction`` (always reduced, positive denominator),
 which already carries the invariants and the ``p/q`` string format required
 here.  ``Surd`` represents ``p + q*sqrt(d)`` with rational ``p``, ``q`` and a
 squarefree integer radicand ``d``; normalization is eager so equality and
@@ -15,8 +15,6 @@ from math import gcd, isqrt
 
 from .errors import IncompatibleFieldError, PreconditionError
 
-Rational = Fraction
-
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 _SURD_RE = re.compile(
     r"^(?P<p>[+-]?\d+(?:/\d+)?)\s*(?P<sign>[+-])\s*"
@@ -24,11 +22,13 @@ _SURD_RE = re.compile(
 )
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PSI_12 = 318665857834031151167461
+_PSI_13 = 3317044064679887385961981
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse the strict ``p/q`` / ``p`` grammar (no floats, no whitespace)."""
-    if not _RATIONAL_RE.match(text):
+    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise ValueError(f"not a rational literal: {text!r}")
     return Fraction(text)
 
@@ -45,12 +45,11 @@ def as_rational(name: str, value: int | Fraction) -> Fraction:
     )
 
 
-def format_rational(value: Fraction) -> str:
-    return str(value)
-
-
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (exact for anything this package produces)."""
+    """Exact primality: Miller-Rabin with the first 12 prime bases is exact
+    below psi_12 (about 3.2e23), with base 41 too below psi_13 (about 3.3e24);
+    from psi_13 on a strong Lucas test follows, which makes it Baillie-PSW, a
+    test with no known counterexample."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -60,7 +59,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _SMALL_PRIMES:
+    for a in _SMALL_PRIMES if n < _PSI_12 else _SMALL_PRIMES + (41,):
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -70,7 +69,49 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _PSI_13 or _strong_lucas(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    # Jacobi symbol (a/n) for odd n > 0.
+    a, result = a % n, 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a, n = n % a, a
+    return result if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    # Selfridge's parameters: D the first of 5, -7, 9, ... with (D/n) = -1
+    # (none exists for a square), P = 1 and Q = (1 - D)/4.  n is odd.
+    if isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) == 1:
+        D = -D - 2 if D > 0 else 2 - D
+    if j == 0:
+        return False
+    Q, d, s = (1 - D) // 4, n + 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    U, V, Qk = 1, 1, Q % n  # U_k, V_k, Q^k at k = 1, then k runs up d's bits
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = U + V, D * U + V, Qk * Q % n  # 2 U_{k+1}, 2 V_{k+1}
+            U, V = (U + n * (U % 2)) // 2 % n, (V + n * (V % 2)) // 2 % n
+    if U == 0:
+        return True
+    for _ in range(s):
+        if V == 0:
+            return True
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+    return False
 
 
 def _pollard_rho(n: int) -> int:
@@ -354,6 +395,8 @@ class Surd:
 
 def parse_surd(text: str) -> Surd:
     """Inverse of ``str(Surd)``; also accepts a bare rational literal."""
+    if not isinstance(text, str):
+        raise ValueError(f"not a surd literal: {text!r}")
     text = text.strip()
     if _RATIONAL_RE.match(text):
         return Surd(Fraction(text))
@@ -364,12 +407,3 @@ def parse_surd(text: str) -> Surd:
     if m.group("sign") == "-":
         q = -q
     return Surd(Fraction(m.group("p")), q, int(m.group("d")))
-
-
-def surd_mul(a: Surd, b: Surd) -> Surd:
-    return a * b
-
-
-def surd_normalize(p: Fraction | int, q: Fraction | int, d: int) -> Surd:
-    """Normalize raw components (radicand not necessarily squarefree)."""
-    return Surd(p, q, d)

@@ -20,15 +20,6 @@ from .errors import ConfigurationError, FamilyDomainError
 from .exact import Surd
 from .identity import IdentityTuple, VariationIdentity, verify_tuple
 
-FAMILY_NAMES = (
-    "rebak",
-    "rebak-variant",
-    "general-infinite",
-    "long-identity",
-    "surd-high",
-    "surd-low",
-)
-
 _REBAK_EXCLUDED = (
     Fraction(-2, 3),
     Fraction(-1, 2),
@@ -194,18 +185,21 @@ def discover(
     return sorted(found)
 
 
+# Family name -> generator and its parameter names, in call order.
+FAMILIES = {
+    "rebak": (rebak_family, ("a",)),
+    "rebak-variant": (rebak_variant_family, ("a",)),
+    "general-infinite": (general_infinite_family, ("k",)),
+    "long-identity": (long_identity, ("b", "n")),
+    "surd-high": (surd_family_high, ("a",)),
+    "surd-low": (surd_family_low, ("a",)),
+}
+FAMILY_NAMES = tuple(FAMILIES)
+
+
 def generate(name: str, params: dict) -> IdentityTuple | VariationIdentity:
     """Dispatch by family name with the parameter keys of each generator."""
-    if name == "rebak":
-        return rebak_family(params["a"])
-    if name == "rebak-variant":
-        return rebak_variant_family(params["a"])
-    if name == "general-infinite":
-        return general_infinite_family(params["k"])
-    if name == "long-identity":
-        return long_identity(params["b"], params["n"])
-    if name == "surd-high":
-        return surd_family_high(params["a"])
-    if name == "surd-low":
-        return surd_family_low(params["a"])
-    raise FamilyDomainError(f"unknown family {name!r}; expected one of {FAMILY_NAMES}")
+    if name not in FAMILIES:
+        raise FamilyDomainError(f"unknown family {name!r}; expected one of {FAMILY_NAMES}")
+    generator, keys = FAMILIES[name]
+    return generator(*(params[key] for key in keys))

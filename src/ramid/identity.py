@@ -12,6 +12,14 @@ any number of signed right-side factors ``(1 +/- 1/w)``, with the values
 drawn from a single real quadratic field.  Verification never takes a square
 root: it checks that both sides are nonnegative and that the radicand equals
 the square of the right side, exactly.
+
+For a tuple the check is made in integers.  Each radicand factor splits as
+1 - 1/v^2 = (1 - 1/v)(1 + 1/v), and the right side s = (1 + 1/x)(1 + 1/y)
+(1 + 1/z) is nonzero because v = -1 is rejected.  Cancelling s once, the
+identity holds exactly when t(1 - 1/A^2)(1 - 1/x)(1 - 1/y)(1 - 1/z) = s and
+s > 0.  With t = tn/td, A = an/ad and v = n/d (d > 0) that is
+tn (an^2 - ad^2) prod(n - d) = td an^2 prod(n + d), with prod(n + d) and
+prod(n) of the same sign.
 """
 
 from __future__ import annotations
@@ -26,7 +34,6 @@ from .errors import IncompatibleFieldError, PreconditionError, TrivialInputError
 from .exact import (
     Surd,
     as_rational,
-    format_rational,
     is_prime,
     parse_rational,
     parse_surd,
@@ -47,19 +54,14 @@ class Classification(enum.Enum):
         return self.value
 
     def at_least(self, other: "Classification") -> bool:
-        """True if this tag implies ``other`` in the nesting order."""
-        order = [
-            Classification.NONTRIVIAL_RATIONAL,
-            Classification.GENERAL,
-            Classification.PERFECT,
-            Classification.SUPER_PERFECT,
-            Classification.PRIME,
-        ]
+        """True if this tag implies ``other`` in the nesting order, which is
+        the order of definition."""
+        order = list(Classification)
         return order.index(self) >= order.index(other)
 
 
 def _check_nontrivial(name: str, value: Fraction) -> None:
-    if value in (0, 1, -1):
+    if value.numerator in (0, 1, -1) and value.denominator == 1:
         raise TrivialInputError(f"{name} must not be 0, 1 or -1 (got {value})")
 
 
@@ -96,11 +98,11 @@ class IdentityTuple:
 
     def to_json_dict(self, classification: Classification | None = None) -> dict:
         d = {
-            "t": format_rational(self.t),
-            "A": format_rational(self.A),
-            "x": format_rational(self.x),
-            "y": format_rational(self.y),
-            "z": format_rational(self.z),
+            "t": str(self.t),
+            "A": str(self.A),
+            "x": str(self.x),
+            "y": str(self.y),
+            "z": str(self.z),
         }
         if classification is not None:
             d["class"] = classification.tag
@@ -120,10 +122,20 @@ class IdentityTuple:
 
 def verify_tuple(identity: IdentityTuple) -> bool:
     """Exact truth of the identity: radicand and right side nonnegative,
-    radicand equal to the square of the right side."""
-    r = identity.radicand()
-    s = identity.rhs_product()
-    return r >= 0 and s >= 0 and r == s * s
+    radicand equal to the square of the right side.  Decided in integers
+    after cancelling the nonzero right side once (see the module docstring).
+    """
+    tn, td = identity.t.as_integer_ratio()
+    an, ad = identity.A.as_integer_ratio()
+    lhs = tn * (an * an - ad * ad)
+    rhs = td * an * an
+    den = 1  # prod(n), the denominator of the right side
+    for v in (identity.x, identity.y, identity.z):
+        n, d = v.as_integer_ratio()
+        lhs *= n - d
+        rhs *= n + d
+        den *= n
+    return lhs == rhs and (rhs > 0) == (den > 0)
 
 
 def classify(identity: IdentityTuple) -> Classification:
@@ -131,23 +143,27 @@ def classify(identity: IdentityTuple) -> Classification:
     if not verify_tuple(identity):
         raise PreconditionError("classify requires a tuple that verifies")
     values = (identity.t, identity.A, identity.x, identity.y, identity.z)
-    if not all(v.denominator == 1 for v in values):
+    if any(v.denominator != 1 for v in values):
         return Classification.NONTRIVIAL_RATIONAL
-    if not all(v >= 2 for v in values):
+    t, A, x, y, z = (v.numerator for v in values)
+    if min(t, A, x, y, z) < 2:
         return Classification.GENERAL
-    ordered = sorted((identity.x, identity.y, identity.z))
-    chain = [identity.t, identity.A, *ordered]
-    if not all(a < b for a, b in zip(chain, chain[1:])):
+    x, y, z = sorted((x, y, z))
+    if not t < A < x < y < z:
         return Classification.PERFECT
-    if all(is_prime(int(v)) for v in (identity.A, *ordered)):
+    if all(is_prime(v) for v in (A, x, y, z)):
         return Classification.PRIME
     return Classification.SUPER_PERFECT
+
+
+def _as_surd(value: Surd | int | Fraction) -> Surd:
+    return value if isinstance(value, Surd) else Surd(as_rational("entry", value))
 
 
 def _canonical_radicand(values: Iterable[Surd]) -> tuple[Surd, ...]:
     # Only v^2 matters, so negative entries fold to their absolute value.
     out = []
-    for v in values:
+    for v in map(_as_surd, values):
         v = v if v.sign() >= 0 else -v
         if v in (0, 1):
             raise TrivialInputError(f"radicand entry must not be 0, 1 or -1: {v}")
@@ -162,6 +178,7 @@ def _canonical_rhs(entries: Iterable[tuple[Surd, int]]) -> tuple[tuple[Surd, int
     for value, sign in entries:
         if sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {sign}")
+        value = _as_surd(value)
         if value.sign() < 0:
             value, sign = -value, -sign
         if value in (0, 1):
@@ -177,6 +194,7 @@ class VariationIdentity:
     rhs_entries: tuple[tuple[Surd, int], ...] = ()
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "scale", as_rational("scale", self.scale))
         if self.scale == 0:
             raise TrivialInputError("scale must be nonzero")
         object.__setattr__(
@@ -216,7 +234,7 @@ class VariationIdentity:
 
     def to_json_dict(self) -> dict:
         return {
-            "scale": format_rational(self.scale),
+            "scale": str(self.scale),
             "radicand": [str(v) for v in self.radicand_entries],
             "rhs": [[str(v), "+" if s > 0 else "-"] for v, s in self.rhs_entries],
         }
@@ -226,12 +244,15 @@ class VariationIdentity:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "VariationIdentity":
+        radicand, rhs = data["radicand"], data["rhs"]
+        if not all(isinstance(e, list) for e in (radicand, rhs, *rhs)) or any(
+            len(e) != 2 or e[1] not in ("+", "-") for e in rhs
+        ):
+            raise ValueError('need "radicand": [surd, ...], "rhs": [[surd, "+"|"-"], ...]')
         return cls(
             scale=parse_rational(data.get("scale", "1")),
-            radicand_entries=tuple(parse_surd(v) for v in data["radicand"]),
-            rhs_entries=tuple(
-                (parse_surd(v), 1 if s == "+" else -1) for v, s in data["rhs"]
-            ),
+            radicand_entries=tuple(parse_surd(v) for v in radicand),
+            rhs_entries=tuple((parse_surd(v), 1 if s == "+" else -1) for v, s in rhs),
         )
 
     @classmethod
@@ -255,3 +276,10 @@ def verify_variation(identity: VariationIdentity) -> bool:
     r = identity.radicand()
     s = identity.rhs_product()
     return r.sign() >= 0 and s.sign() >= 0 and r == s * s
+
+
+def verify(identity: IdentityTuple | VariationIdentity) -> bool:
+    """``verify_tuple`` or ``verify_variation``, by type."""
+    if isinstance(identity, IdentityTuple):
+        return verify_tuple(identity)
+    return verify_variation(identity)

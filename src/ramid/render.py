@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import PreconditionError
 from .exact import Surd
-from .identity import IdentityTuple, VariationIdentity, verify_tuple, verify_variation
+from .identity import IdentityTuple, VariationIdentity, verify
 
 _ONE = Fraction(1)
 
@@ -69,16 +69,10 @@ def _as_variation(identity: IdentityTuple | VariationIdentity) -> VariationIdent
     return identity
 
 
-def _verified(identity: IdentityTuple | VariationIdentity) -> bool:
-    if isinstance(identity, IdentityTuple):
-        return verify_tuple(identity)
-    return verify_variation(identity)
-
-
 def _require_verified(
     identity: IdentityTuple | VariationIdentity, unchecked: bool
 ) -> None:
-    if not unchecked and not _verified(identity):
+    if not unchecked and not verify(identity):
         raise PreconditionError(
             "identity does not verify; pass unchecked to render anyway"
         )

@@ -1,5 +1,7 @@
 """Closed-form z, pruning bounds and the exhaustive searches."""
 
+import hashlib
+import io
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from brute import brute_force_super_perfect
 from ramid import (
     Classification,
     IdentityTuple,
+    PreconditionError,
     appendix_distinct,
     classify,
     enumerate_super_perfect,
@@ -51,6 +54,11 @@ def test_solve_z_rational_t():
     assert solve_z(2, 2, 6, 14) is None
     assert verify_tuple(IdentityTuple(F(2), F(2), F(6), F(14), F(-27)))
     assert not verify_tuple(IdentityTuple(F(2), F(2), F(6), F(14), F(27)))
+
+
+def test_solve_z_rejects_float_t():
+    with pytest.raises(PreconditionError):
+        solve_z(2.0, 3, 7, 11)
 
 
 def test_solve_z_round_trips_with_verifier():
@@ -141,11 +149,6 @@ def test_super_perfect_sorted_deduplicated(super_perfect_report):
     assert list(ids) == sorted(set(ids))
 
 
-def test_super_perfect_worker_count_irrelevant(super_perfect_report):
-    parallel = enumerate_super_perfect(max_workers=4)
-    assert parallel.identities == super_perfect_report.identities
-
-
 def test_prime_filter(super_perfect_report):
     primes = prime_filter(super_perfect_report).identities
     expected = {
@@ -189,11 +192,6 @@ def test_perfect_finds_unordered_cases(perfect_report):
     assert IdentityTuple(F(36), F(2), F(2), F(2), F(2)) in found
 
 
-def test_perfect_worker_count_irrelevant(perfect_report):
-    parallel = __import__("ramid").enumerate_perfect(max_workers=3)
-    assert parallel.identities == perfect_report.identities
-
-
 def test_bounds_equal_brute_force_at_small_scale(super_perfect_report):
     # Desk-scale soundness: the appendix maximum y is 61, so a 150 cap
     # already covers everything the pruned search reports.
@@ -209,3 +207,17 @@ def test_report_jsonl_round_trip(tmp_path, super_perfect_report):
     parsed = [IdentityTuple.from_json(line) for line in lines]
     assert parsed == list(super_perfect_report.identities)
     assert all('"class"' in line for line in lines)
+
+
+# sha256 of write_jsonl for each class, recorded before the scans moved to
+# integer tuples and verify_tuple to the integer equation.
+def test_enumerate_output_pinned(super_perfect_report, perfect_report):
+    for report, digest in [
+        (super_perfect_report, "67af4abd32426046619fc746f18057acd3506b12f8bf7634b798e737301cb0d2"),
+        (perfect_report, "1c6ef47ae6142cb00796c9942e2bf54d1d50529e70c7075c8ee1c4d90c1817e5"),
+    ]:
+        out = io.StringIO()
+        report.write_jsonl(out)
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+    assert super_perfect_report.candidates_examined == 100
+    assert perfect_report.candidates_examined == 1527

@@ -8,15 +8,12 @@ import pytest
 from ramid import (
     IncompatibleFieldError,
     Surd,
-    format_rational,
     parse_rational,
     parse_surd,
     rational_sqrt,
     squarefree_decompose,
-    surd_mul,
-    surd_normalize,
 )
-from ramid.exact import is_prime
+from ramid.exact import _strong_lucas, is_prime
 
 F = Fraction
 
@@ -49,7 +46,7 @@ def test_parse_format_rational_round_trip():
     rng = random.Random(7)
     for _ in range(200):
         r = F(rng.randint(-10**12, 10**12), rng.randint(1, 10**12))
-        assert parse_rational(format_rational(r)) == r
+        assert parse_rational(str(r)) == r
 
 
 def test_parse_rational_rejects_floats_and_junk():
@@ -79,6 +76,27 @@ def test_is_prime_small_and_large():
         assert is_prime(n) == (n in primes or n in (17, 19, 23, 29))
     assert is_prime(999983)
     assert not is_prime(999983 * 17)
+
+
+PSI_12 = 318665857834031151167461  # strong pseudoprime to the bases 2..37
+PSI_13 = 3317044064679887385961981  # ... and to 41
+
+
+def test_is_prime_past_the_miller_rabin_bounds():
+    assert not is_prime(PSI_12)  # needs base 41
+    assert not is_prime(PSI_13)  # needs the strong Lucas step
+    mersenne = [2**e - 1 for e in (61, 89, 107, 127, 521)]
+    assert all(is_prime(p) for p in mersenne)
+    assert not is_prime(mersenne[1] * mersenne[2])
+    assert not is_prime(mersenne[3] ** 2)
+
+
+def test_strong_lucas_pseudoprimes_are_the_known_ones():
+    # Odd composites passing the strong Lucas test with Selfridge's
+    # parameters (OEIS A217255); every other odd n > 11 it decides rightly.
+    pseudoprimes = {5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519}
+    for n in range(13, 60000, 2):
+        assert _strong_lucas(n) == (is_prime(n) or n in pseudoprimes), n
 
 
 def test_surd_normalize_square_part():
@@ -111,11 +129,11 @@ def test_surd_normalize_idempotent_and_value_preserving():
 
 def test_surd_mul_conjugate_is_rational():
     s = Surd(1, 1, 2)
-    assert surd_mul(s, Surd(1, -1, 2)) == Surd(-1)
+    assert s * Surd(1, -1, 2) == Surd(-1)
 
 
 def test_surd_mul_sqrt2_squared():
-    assert surd_mul(Surd(0, 1, 2), Surd(0, 1, 2)) == Surd(2)
+    assert Surd(0, 1, 2) * Surd(0, 1, 2) == Surd(2)
 
 
 def test_surd_mul_collects_terms():
@@ -208,7 +226,8 @@ def test_surd_str_round_trip():
 
 
 def test_surd_normalize_function():
-    assert surd_normalize(0, 1, 18) == Surd(0, 3, 2)
+    s = Surd(0, 1, 18)
+    assert (s.p, s.q, s.d) == (0, 3, 2)
 
 
 def test_surd_rejects_negative_radicand():

@@ -2,10 +2,14 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from conftest import family_tuples, float_agrees
 from ramid import (
     Classification,
     IdentityTuple,
@@ -15,6 +19,8 @@ from ramid import (
     TrivialInputError,
     VariationIdentity,
     classify,
+    is_prime,
+    verify,
     verify_tuple,
     verify_variation,
 )
@@ -100,6 +106,62 @@ def test_verify_depends_on_a_only_through_square():
         except TrivialInputError:
             continue
         assert verify_tuple(identity) == verify_tuple(flipped)
+
+
+_RATIONALS = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 15))
+_NONZERO = _RATIONALS.filter(lambda v: v != 0)
+_NONTRIVIAL = _RATIONALS.filter(lambda v: v not in (0, 1, -1))
+
+
+@st.composite
+def _signed_tuples(draw):
+    """Signed rational tuples.  Half the time z solves
+    t(1 - 1/A^2)(1 - 1/x)(1 - 1/y)(1 - 1/z) = (1 + 1/x)(1 + 1/y)(1 + 1/z),
+    so that hits, and hits whose right side is negative, are common."""
+    t, A, x, y = draw(_NONZERO), draw(_NONTRIVIAL), draw(_NONTRIVIAL), draw(_NONTRIVIAL)
+    if draw(st.booleans()):
+        return IdentityTuple(t, A, x, y, draw(_NONTRIVIAL))
+    c = t * (1 - 1 / (A * A)) * (1 - 1 / x) * (1 - 1 / y) / ((1 + 1 / x) * (1 + 1 / y))
+    assume(c not in (1, -1))
+    return IdentityTuple(t, A, x, y, (c + 1) / (c - 1))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_signed_tuples())
+def test_verify_tuple_matches_the_fraction_reference(identity):
+    r, s = identity.radicand(), identity.rhs_product()
+    holds = r >= 0 and s >= 0 and r == s * s
+    assert verify_tuple(identity) == holds
+    if holds:
+        assert float_agrees(identity)
+
+
+def _classify_by_fraction_comparisons(identity: IdentityTuple) -> Classification:
+    values = (identity.t, identity.A, identity.x, identity.y, identity.z)
+    if not all(v.denominator == 1 for v in values):
+        return Classification.NONTRIVIAL_RATIONAL
+    if not all(v >= 2 for v in values):
+        return Classification.GENERAL
+    ordered = sorted((identity.x, identity.y, identity.z))
+    chain = [identity.t, identity.A, *ordered]
+    if not all(a < b for a, b in zip(chain, chain[1:])):
+        return Classification.PERFECT
+    if all(is_prime(int(v)) for v in (identity.A, *ordered)):
+        return Classification.PRIME
+    return Classification.SUPER_PERFECT
+
+
+def test_classify_matches_the_fraction_comparisons(perfect_report):
+    # Every perfect tuple and family member, with A of either sign and x, y, z
+    # in every order: all five tags occur.
+    tags = Counter()
+    for i in list(perfect_report.identities) + family_tuples():
+        for sign, xyz in itertools.product((1, -1), itertools.permutations((i.x, i.y, i.z))):
+            identity = IdentityTuple(i.t, sign * i.A, *xyz)
+            tag = classify(identity)
+            assert tag is _classify_by_fraction_comparisons(identity), identity
+            tags[tag] += 1
+    assert set(tags) == set(Classification)
 
 
 def test_classify_prime():
@@ -222,6 +284,34 @@ def test_variation_json_round_trip():
     )
     again = VariationIdentity.from_json(v.to_json())
     assert again == v
+
+
+def test_variation_coerces_ints():
+    v = VariationIdentity(
+        scale=2, radicand_entries=(3, 7, 11, 19), rhs_entries=((7, 1), (11, 1), (19, 1))
+    )
+    assert type(v.scale) is Fraction
+    assert v == variation(2, [3, 7, 11, 19], [(7, 1), (11, 1), (19, 1)])
+    assert verify_variation(v)
+    VariationIdentity(
+        scale=1, radicand_entries=(3, 7, 11, 19), rhs_entries=((7, 1), (11, 1), (19, 1))
+    )
+
+
+@pytest.mark.parametrize(
+    "scale, radicand, rhs",
+    [(2.0, (3, 7), ((7, 1),)), (2, (3.0, 7), ((7, 1),)), (2, (3, 7), ((7.0, 1),))],
+)
+def test_variation_rejects_floats(scale, radicand, rhs):
+    with pytest.raises(PreconditionError):
+        VariationIdentity(scale=scale, radicand_entries=radicand, rhs_entries=rhs)
+
+
+def test_verify_dispatches_by_type():
+    identity = tup(2, 3, 7, 11, 19)
+    assert verify(identity) and verify(VariationIdentity.from_tuple(identity))
+    assert not verify(tup(2, 3, 7, 11, 20))
+    assert not verify(variation(1, [3, 7, 11, 19], [(7, 1), (11, 1), (19, 1)]))
 
 
 def test_variation_from_tuple_matches_verifier():
