@@ -23,7 +23,6 @@ from .enumeration import (
 )
 from .errors import (
     ConfigurationError,
-    DegenerateDenominatorError,
     FamilyDomainError,
     IncompatibleFieldError,
     PreconditionError,
@@ -35,7 +34,6 @@ from .exact import (
     is_prime,
     parse_rational,
     parse_surd,
-    rational_sqrt,
     squarefree_decompose,
 )
 from .families import (

@@ -30,6 +30,11 @@ B != 0, M - G + B != 0 (1 is not a root) and M + G + B != 0 (-1 is not a
 root).  ``rational_identity`` uses this to reject irrational draws without
 building the surd roots that ``build_tuple`` reports.
 
+``solve_roots`` reads its roots from N by the same argument, after clearing
+gamma and beta to G/M and B/M with M the lcm of their denominators: none when
+N < 0, (G +- isqrt(N)) / (2M) when N is a square, and otherwise
+G/(2M) +- (s/(2M)) sqrt(f), where N = s^2 f with f squarefree.
+
 The inverse direction recovers k = (xy - (x+y) + 1) / (2 A^2 (z+1)) and
 accepts it only if the companion equation
 xy + (x+y) + 1 = 2 k t (A^2-1)(z-1) holds exactly.
@@ -38,20 +43,13 @@ xy + (x+y) + 1 = 2 k t (A^2-1)(z-1) holds exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
-from .errors import DegenerateDenominatorError, TrivialInputError
-from .exact import (
-    Surd,
-    as_rational,
-    rational_sqrt,
-    squarefree_decompose,
-)
+from .errors import TrivialInputError
+from .exact import Surd, as_rational, squarefree_decompose
 from .identity import IdentityTuple
-
-_HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -60,25 +58,12 @@ class ConditionReport:
     beta_nonzero: bool
     one_minus_gamma_plus_beta_nonzero: bool
     minus_one_not_root: bool
-    inputs_nontrivial: bool
 
     def all_satisfied(self) -> bool:
-        return (
-            self.discriminant_nonnegative
-            and self.beta_nonzero
-            and self.one_minus_gamma_plus_beta_nonzero
-            and self.minus_one_not_root
-            and self.inputs_nontrivial
-        )
+        return all(astuple(self))
 
     def to_json_dict(self) -> dict:
-        return {
-            "discriminant_nonnegative": self.discriminant_nonnegative,
-            "beta_nonzero": self.beta_nonzero,
-            "one_minus_gamma_plus_beta_nonzero": self.one_minus_gamma_plus_beta_nonzero,
-            "minus_one_not_root": self.minus_one_not_root,
-            "inputs_nontrivial": self.inputs_nontrivial,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -89,10 +74,8 @@ class RootPair:
 
     def to_json_dict(self) -> dict:
         d: dict = {"kind": self.kind}
-        if self.rational is not None:
-            d["values"] = [str(v) for v in self.rational]
-        elif self.surd is not None:
-            d["values"] = [str(v) for v in self.surd]
+        if self.kind != "none":
+            d["values"] = [str(v) for v in self.rational or self.surd]
         return d
 
 
@@ -172,26 +155,22 @@ def gamma_beta(
 
 
 def solve_roots(gamma: Fraction, beta: Fraction) -> RootPair:
-    """Roots of X^2 - gamma X + beta: rational pair (larger first), a
-    conjugate surd pair over the squarefree part of the discriminant, or
-    none when the discriminant is negative."""
-    disc = gamma * gamma - 4 * beta
-    if disc < 0:
+    """Roots of X^2 - gamma X + beta, read from the integer N of the module
+    docstring: a rational pair (larger first), a conjugate surd pair over the
+    squarefree part of N, or none when N is negative."""
+    gamma, beta = as_rational("gamma", gamma), as_rational("beta", beta)
+    m = lcm(gamma.denominator, beta.denominator)
+    g = gamma.numerator * (m // gamma.denominator)
+    b = beta.numerator * (m // beta.denominator)
+    n = g * g - 4 * b * m
+    if n < 0:
         return RootPair("none")
-    root = rational_sqrt(disc)
-    if root is not None:
-        return RootPair(
-            "rational", rational=((gamma + root) * _HALF, (gamma - root) * _HALF)
-        )
-    # sqrt(disc) = (e/den) * sqrt(d) with d squarefree
-    d, s = squarefree_decompose(disc.numerator * disc.denominator)
-    e = Fraction(s, disc.denominator)
-    half_gamma = gamma * _HALF
-    half_e = e * _HALF
-    return RootPair(
-        "surd",
-        surd=(Surd(half_gamma, half_e, d), Surd(half_gamma, -half_e, d)),
-    )
+    r, m2 = isqrt(n), 2 * m
+    if r * r == n:
+        return RootPair("rational", rational=(Fraction(g + r, m2), Fraction(g - r, m2)))
+    f, s = squarefree_decompose(n)
+    p, q = Fraction(g, m2), Fraction(s, m2)
+    return RootPair("surd", surd=(Surd(p, q, f), Surd(p, -q, f)))
 
 
 def build_tuple(
@@ -205,7 +184,6 @@ def build_tuple(
         beta_nonzero=b != 0,
         one_minus_gamma_plus_beta_nonzero=m - g + b != 0,
         minus_one_not_root=m + g + b != 0,
-        inputs_nontrivial=True,  # _exact_inputs already rejected trivial inputs
     )
     roots = solve_roots(gamma, beta)
     disc = Fraction(n, m * m)
@@ -229,8 +207,6 @@ def rational_identity(
 def recover_k(identity: IdentityTuple) -> Fraction | None:
     """The unique k mapping (t, A, z) to this tuple's (x, y), or None if the
     companion equation fails (the tuple then satisfies no such construction)."""
-    if identity.z == -1:
-        raise DegenerateDenominatorError("z = -1 makes the k denominator vanish")
     t, A, x, y, z = identity.t, identity.A, identity.x, identity.y, identity.z
     k = (x * y - (x + y) + 1) / (2 * A * A * (z + 1))
     if x * y + (x + y) + 1 == 2 * k * t * (A * A - 1) * (z - 1):

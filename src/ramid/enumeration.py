@@ -36,7 +36,7 @@ from importlib import resources
 from math import isqrt
 from typing import Callable, Iterable, Iterator, TextIO
 
-from .exact import as_rational, is_prime
+from .exact import as_rational, is_prime, require_int
 from .identity import IdentityTuple, classify, verify_tuple
 
 SUPER_PERFECT_T_VALUES = range(2, 7)
@@ -64,11 +64,15 @@ class EnumerationReport:
 
 
 def solve_z(t: Fraction | int, A: int, x: int, y: int) -> int | None:
-    """Integer z >= 2 completing (t, A, x, y), or None.
+    """Integer z >= 2 completing (t, A, x, y), or None.  A, x and y must be
+    ints and t an int or a ``Fraction``; floats are rejected.
 
     None covers both a non-integral completion and an integral one below 2,
     such as z = -27 for (2, 2, 6, 14).
     """
+    if not (type(A) is type(x) is type(y) is int):
+        for name, value in (("A", A), ("x", x), ("y", y)):
+            require_int(name, value)
     if type(t) is not int:  # an int has numerator t and denominator 1
         t = as_rational("t", t)
     n = t.numerator * (A * A - 1) * (x - 1) * (y - 1)
@@ -233,13 +237,9 @@ def _run_cells(
     return EnumerationReport(identities, examined, elapsed)
 
 
-def enumerate_super_perfect(
-    t_values: Iterable[int] = SUPER_PERFECT_T_VALUES,
-) -> EnumerationReport:
+def enumerate_super_perfect() -> EnumerationReport:
     """All identities with integer entries and t < A < x < y < z, t in 2..6."""
-    t_values = list(t_values)
-    cells = [cell for cell in _super_perfect_cells() if cell[0] in t_values]
-    return _run_cells(cells, _scan_super_cell)
+    return _run_cells(_super_perfect_cells(), _scan_super_cell)
 
 
 def enumerate_perfect() -> EnumerationReport:

@@ -17,10 +17,6 @@ class FamilyDomainError(RamidError):
     """A family generator was called with a parameter outside its domain."""
 
 
-class DegenerateDenominatorError(RamidError):
-    """A recovery formula hit a vanishing denominator (z = -1)."""
-
-
 class PreconditionError(RamidError):
     """An operation was called on input that fails its stated precondition."""
 

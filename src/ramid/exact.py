@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import total_ordering
 from math import gcd, isqrt
 
 from .errors import IncompatibleFieldError, PreconditionError
@@ -43,6 +44,15 @@ def as_rational(name: str, value: int | Fraction) -> Fraction:
     raise PreconditionError(
         f"{name} must be an int or a Fraction (got {type(value).__name__} {value!r})"
     )
+
+
+def require_int(name: str, value: int) -> int:
+    """``value`` if it is an int; anything else (floats included) is rejected."""
+    if type(value) is not int:
+        raise PreconditionError(
+            f"{name} must be an int (got {type(value).__name__} {value!r})"
+        )
+    return value
 
 
 def is_prime(n: int) -> bool:
@@ -177,25 +187,14 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     return f, s
 
 
-def rational_sqrt(value: Fraction) -> Fraction | None:
-    """Exact square root of a nonnegative rational, or None if irrational."""
-    if value < 0:
-        raise ValueError("square root of a negative rational")
-    rn = isqrt(value.numerator)
-    if rn * rn != value.numerator:
-        return None
-    rd = isqrt(value.denominator)
-    if rd * rd != value.denominator:
-        return None
-    return Fraction(rn, rd)
-
-
+@total_ordering
 class Surd:
     """Immutable element ``p + q*sqrt(d)`` of a real quadratic field.
 
     ``d`` is kept squarefree (square parts are folded into ``q``), ``q = 0``
     forces ``d = 0``, and pure rationals embed as ``d = 0``.  Construction is
-    the normalization: it is idempotent and value-preserving.
+    the normalization: it is idempotent and value-preserving.  ``p`` and
+    ``q`` are ints or ``Fraction``s and ``d`` is an int; floats are rejected.
     """
 
     __slots__ = ("p", "q", "d")
@@ -205,7 +204,7 @@ class Surd:
     d: int
 
     def __init__(self, p: Fraction | int, q: Fraction | int = 0, d: int = 0):
-        p, q, d = Fraction(p), Fraction(q), int(d)
+        p, q, d = as_rational("p", p), as_rational("q", q), require_int("d", d)
         if d < 0:
             raise ValueError("only real quadratic fields: d must be nonnegative")
         if d == 0:
@@ -228,13 +227,9 @@ class Surd:
         raise AttributeError("Surd is immutable")
 
     @classmethod
-    def from_rational(cls, value: Fraction | int) -> Surd:
-        return cls(Fraction(value))
-
-    @classmethod
     def sqrt_rational(cls, value: Fraction | int) -> Surd:
         """Exact ``sqrt(value)`` for a nonnegative rational, as a surd."""
-        value = Fraction(value)
+        value = as_rational("value", value)
         if value < 0:
             raise ValueError("square root of a negative rational")
         # sqrt(a/b) = sqrt(a*b)/b
@@ -254,7 +249,7 @@ class Surd:
         if isinstance(other, Surd):
             return other
         if isinstance(other, (int, Fraction)):
-            return Surd(Fraction(other))
+            return Surd(other)
         return None
 
     def _common_d(self, other: Surd) -> int:
@@ -358,24 +353,6 @@ class Surd:
         if rhs is None:
             return NotImplemented
         return (self - rhs).sign() < 0
-
-    def __le__(self, other: object) -> bool:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return (self - rhs).sign() <= 0
-
-    def __gt__(self, other: object) -> bool:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return (self - rhs).sign() > 0
-
-    def __ge__(self, other: object) -> bool:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return (self - rhs).sign() >= 0
 
     def __bool__(self) -> bool:
         return self.p != 0 or self.q != 0

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .construct import rational_identity
 from .errors import ConfigurationError, FamilyDomainError
-from .exact import Surd
+from .exact import Surd, as_rational, require_int
 from .identity import IdentityTuple, VariationIdentity, verify_tuple
 
 _REBAK_EXCLUDED = (
@@ -45,7 +45,7 @@ def _reject(condition: bool, message: str) -> None:
 
 def rebak_family(a: Fraction) -> IdentityTuple:
     """((a+1)/(a-1), a, 2a+1, 3a+2, 6a+1)."""
-    a = Fraction(a)
+    a = as_rational("a", a)
     _reject(a in _REBAK_EXCLUDED, f"a = {a} is excluded for the rebak family")
     _reject(a == -1, "a = -1 makes A trivial and t zero")
     return IdentityTuple((a + 1) / (a - 1), a, 2 * a + 1, 3 * a + 2, 6 * a + 1)
@@ -53,7 +53,7 @@ def rebak_family(a: Fraction) -> IdentityTuple:
 
 def rebak_variant_family(a: Fraction) -> IdentityTuple:
     """((a+1)/(a-1), a, 2a+1, 3a+1, 6a+5)."""
-    a = Fraction(a)
+    a = as_rational("a", a)
     _reject(
         a in _REBAK_VARIANT_EXCLUDED,
         f"a = {a} is excluded for the rebak-variant family",
@@ -64,6 +64,7 @@ def rebak_variant_family(a: Fraction) -> IdentityTuple:
 
 def general_infinite_family(k: int) -> IdentityTuple:
     """(2, k, 5, 1 - 2k^2, 7) for integer k outside {0, 1, -1}."""
+    require_int("k", k)
     _reject(k in (0, 1, -1), f"k = {k} is excluded for the general-infinite family")
     return IdentityTuple(
         Fraction(2), Fraction(k), Fraction(5), Fraction(1 - 2 * k * k), Fraction(7)
@@ -76,6 +77,8 @@ def long_identity(b: int, n: int) -> VariationIdentity:
     Radicand factors use 2b+1, 2b-1, 2a+2n-1 and a-1, a, ..., a+n-1; the
     right side uses (1 - 1/(2b+1))(1 + 1/(2b-1))(1 + 1/(2a+2n-1)).
     """
+    require_int("b", b)
+    require_int("n", n)
     _reject(b < 2, f"b must be an integer >= 2 (got {b})")
     _reject(n < 1, f"n must be an integer >= 1 (got {n})")
     a = 2 - b * b
@@ -98,7 +101,7 @@ def long_identity(b: int, n: int) -> VariationIdentity:
 
 def surd_family_high(a: Fraction) -> VariationIdentity:
     """Identity over Q(sqrt(a-1)) for a >= 3; all-rational when a-1 is a square."""
-    a = Fraction(a)
+    a = as_rational("a", a)
     _reject(a < 3, f"a must be >= 3 (got {a})")
     s = Surd.sqrt_rational(a - 1)
     plus = Surd(1) + 2 * s
@@ -112,7 +115,7 @@ def surd_family_high(a: Fraction) -> VariationIdentity:
 
 def surd_family_low(a: Fraction) -> VariationIdentity:
     """Identity over Q(sqrt(2-a)) for a <= 1 outside {0, 1, -1/2}."""
-    a = Fraction(a)
+    a = as_rational("a", a)
     _reject(a > 1, f"a must be <= 1 (got {a})")
     _reject(a == 1, "a = 1 makes the a-1 radicand factor undefined")
     _reject(a == 0, "a = 0 makes a radicand entry zero")
@@ -160,7 +163,7 @@ def discover(
             raise ConfigurationError(f"{name} range ({lo}, {hi}) has no usable value")
     if k_den_max < 1:
         raise ConfigurationError(f"k denominator bound must be >= 1 (got {k_den_max})")
-    t = Fraction(t)
+    t = as_rational("t", t)
     if t == 0:
         raise ConfigurationError("t must be nonzero")
 

@@ -49,10 +49,6 @@ class Classification(enum.Enum):
     SUPER_PERFECT = "super-perfect"
     PRIME = "prime"
 
-    @property
-    def tag(self) -> str:
-        return self.value
-
     def at_least(self, other: "Classification") -> bool:
         """True if this tag implies ``other`` in the nesting order, which is
         the order of definition."""
@@ -105,7 +101,7 @@ class IdentityTuple:
             "z": str(self.z),
         }
         if classification is not None:
-            d["class"] = classification.tag
+            d["class"] = classification.value
         return d
 
     def to_json(self, classification: Classification | None = None) -> str:

@@ -1,7 +1,9 @@
 """Quadratic construction, condition flags and k recovery."""
 
+import hashlib
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import assume, given, settings
@@ -183,6 +185,14 @@ def test_z_minus_one_unrepresentable():
         IdentityTuple(F(2), F(3), F(7), F(11), F(-1))
 
 
+def _k_for_root(t, A, z, x):
+    """The k whose construction from (t, A, z) has the root x, or None."""
+    u = (A * A - 1) * t
+    g = (u - A * A) * z - (u + A * A)  # gamma / k
+    h = (u + A * A) * z - (u - A * A)  # (beta + 1) / k
+    return None if h == g * x else (1 - x * x) / (h - g * x)
+
+
 def _sample_construction(rng) -> ConstructionResult | None:
     """Positive t, integral A, z and target root x; k solved so the roots
     are rational by construction."""
@@ -190,13 +200,8 @@ def _sample_construction(rng) -> ConstructionResult | None:
     A = rng.choice([a for a in range(-9, 10) if abs(a) >= 2])
     z = rng.choice([v for v in range(-25, 26) if abs(v) >= 2])
     x = rng.choice([v for v in range(-25, 26) if abs(v) >= 2])
-    u = (A * A - 1) * t
-    g = (u - A * A) * z - (u + A * A)
-    h = (u + A * A) * z - (u - A * A)
-    if h - g * x == 0:
-        return None
-    k = (1 - x * x) / (h - g * x)
-    if k == 0:
+    k = _k_for_root(t, A, z, x)
+    if not k:
         return None
     result = build_tuple(t, F(A), F(z), k)
     if result.roots.kind != "rational" or not result.conditions.all_satisfied():
@@ -240,7 +245,6 @@ def test_construction_result_json_shape():
         "beta_nonzero",
         "one_minus_gamma_plus_beta_nonzero",
         "minus_one_not_root",
-        "inputs_nontrivial",
     }
 
 
@@ -256,12 +260,9 @@ def _construction_inputs(draw):
     t, A, z = draw(_NONZERO), draw(_NONTRIVIAL), draw(_NONTRIVIAL)
     if draw(st.booleans()):
         return t, A, z, draw(_NONZERO)
-    x = draw(_NONTRIVIAL)
-    u = (A * A - 1) * t
-    g = (u - A * A) * z - (u + A * A)  # gamma / k
-    h = (u + A * A) * z - (u - A * A)  # (beta + 1) / k
-    assume(h != g * x)
-    return t, A, z, (1 - x * x) / (h - g * x)
+    k = _k_for_root(t, A, z, draw(_NONTRIVIAL))
+    assume(k is not None)
+    return t, A, z, k
 
 
 @settings(max_examples=300, deadline=None)
@@ -283,3 +284,63 @@ def test_rational_identity_agrees_with_build_tuple(inputs):
         assert identity.radicand() == identity.rhs_product() ** 2
         if verify_tuple(identity):
             assert float_agrees(identity)
+
+
+@st.composite
+def _quadratics(draw):
+    """(gamma, beta) of X^2 - gamma X + beta: beta is either drawn freely or
+    made from a drawn root x, so that rational roots are common."""
+    gamma = draw(_RATIONALS)
+    if draw(st.booleans()):
+        return gamma, draw(_RATIONALS)
+    x = draw(_RATIONALS)
+    return gamma, x * (gamma - x)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_quadratics())
+def test_solve_roots_matches_the_fraction_discriminant(quadratic):
+    gamma, beta = quadratic
+    disc = gamma * gamma - 4 * beta
+    is_square = disc >= 0 and all(
+        isqrt(v) ** 2 == v for v in (disc.numerator, disc.denominator)
+    )
+    roots = solve_roots(gamma, beta)
+    assert (roots.kind == "none") == (disc < 0)
+    assert (roots.kind == "rational") == is_square
+    if roots.kind == "none":
+        return
+    hi, lo = roots.rational if is_square else roots.surd
+    assert hi >= lo
+    for root in (hi, lo):
+        assert root * root - gamma * root + beta == 0
+
+
+def _pinned_grid() -> list[tuple[Fraction, Fraction, Fraction, Fraction]]:
+    """1,000 seeded signed rational (t, A, z, k); about half have k solved
+    from a root x, so rational, surd and no roots all occur."""
+    rng = random.Random(20190925)
+    out = []
+    while len(out) < 1000:
+        t = F(rng.randint(-30, 30), rng.randint(1, 9))
+        A = F(rng.randint(-12, 12), rng.randint(1, 4))
+        z = F(rng.randint(-30, 30), rng.randint(1, 4))
+        if t == 0 or A in (0, 1, -1) or z in (0, 1, -1):
+            continue
+        if rng.random() < 0.5:
+            k = F(rng.randint(-30, 30), rng.randint(1, 12))
+        else:
+            k = _k_for_root(t, A, z, F(rng.randint(-30, 30), rng.randint(1, 4)))
+        if k:
+            out.append((t, A, z, k))
+    return out
+
+
+def test_build_tuple_output_pinned():
+    # sha256 over the "\n"-joined build_tuple(...).to_json() lines of the
+    # grid (462 surd, 522 rational and 16 negative-discriminant roots),
+    # recorded before solve_roots moved to the integer discriminant, with
+    # the always-true inputs_nontrivial flag (since removed) left out.
+    lines = [build_tuple(*inputs).to_json() for inputs in _pinned_grid()]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "fda0d084bf8f14c6f32cc192d9d9b94422ec258db0f89e63ad1e1efc6d40eddd"

@@ -133,12 +133,6 @@ def test_super_perfect_all_have_t_2(super_perfect_report):
     assert all(identity.t == 2 for identity in super_perfect_report.identities)
 
 
-def test_super_perfect_sweep_above_2_is_empty():
-    report = enumerate_super_perfect(t_values=range(3, 7))
-    assert report.identities == ()
-    assert report.candidates_examined > 0
-
-
 def test_super_perfect_report_counts(super_perfect_report):
     assert super_perfect_report.candidates_examined > 0
     assert super_perfect_report.wall_time >= 0

@@ -7,39 +7,24 @@ import pytest
 
 from ramid import (
     IncompatibleFieldError,
+    PreconditionError,
     Surd,
+    discover,
+    general_infinite_family,
+    long_identity,
     parse_rational,
     parse_surd,
-    rational_sqrt,
+    rebak_family,
+    rebak_variant_family,
+    solve_roots,
+    solve_z,
     squarefree_decompose,
+    surd_family_high,
+    surd_family_low,
 )
 from ramid.exact import _strong_lucas, is_prime
 
 F = Fraction
-
-
-def test_rational_sqrt_perfect_square():
-    assert rational_sqrt(F(81, 256)) == F(9, 16)
-
-
-def test_rational_sqrt_zero():
-    assert rational_sqrt(F(0)) == 0
-
-
-def test_rational_sqrt_irrational():
-    assert rational_sqrt(F(2)) is None
-
-
-def test_rational_sqrt_negative_rejected():
-    with pytest.raises(ValueError):
-        rational_sqrt(F(-1, 4))
-
-
-def test_rational_sqrt_of_squares_randomized():
-    rng = random.Random(101)
-    for _ in range(300):
-        r = F(rng.randint(-400, 400), rng.randint(1, 400))
-        assert rational_sqrt(r * r) == abs(r)
 
 
 def test_parse_format_rational_round_trip():
@@ -112,6 +97,32 @@ def test_surd_normalize_rational_embedding():
 def test_surd_normalize_fraction_coefficient():
     s = Surd(1, F(1, 2), 12)
     assert (s.p, s.q, s.d) == (1, 1, 3)
+
+
+@pytest.mark.parametrize(
+    "entry, args",
+    [
+        pytest.param(Surd, (0.1,), id="Surd-p"),
+        pytest.param(Surd, (1, 0.5, 2), id="Surd-q"),
+        pytest.param(Surd, (1, 1, 2.7), id="Surd-d"),
+        pytest.param(Surd.sqrt_rational, (0.5,), id="sqrt_rational"),
+        pytest.param(solve_z, (2, 3.0, 7, 11), id="solve_z-A"),
+        pytest.param(solve_z, (2, 3, 7.0, 11), id="solve_z-x"),
+        pytest.param(solve_z, (2, 3, 7, 11.0), id="solve_z-y"),
+        pytest.param(solve_roots, (18.0, F(77)), id="solve_roots"),
+        pytest.param(general_infinite_family, (2.5,), id="general-infinite-k"),
+        pytest.param(long_identity, (3.0, 2), id="long-identity-b"),
+        pytest.param(long_identity, (3, 2.0), id="long-identity-n"),
+        pytest.param(rebak_family, (0.5,), id="rebak"),
+        pytest.param(rebak_variant_family, (0.5,), id="rebak-variant"),
+        pytest.param(surd_family_high, (3.5,), id="surd-high"),
+        pytest.param(surd_family_low, (-2.5,), id="surd-low"),
+        pytest.param(discover, (1, 10, 2.0), id="discover-t"),
+    ],
+)
+def test_entry_points_reject_floats(entry, args):
+    with pytest.raises(PreconditionError):
+        entry(*args)
 
 
 def test_surd_normalize_idempotent_and_value_preserving():
@@ -208,6 +219,8 @@ def test_surd_ordering_matches_floats():
     for _ in range(200):
         a, b = _random_surd(rng, 7), _random_surd(rng, 7)
         assert (a < b) == (float(a) < float(b) and a != b)
+        assert (a > b) == (float(a) > float(b) and a != b)
+        assert (a <= b) != (a > b) and (a >= b) != (a < b)
 
 
 def test_surd_total_order_against_rationals():
