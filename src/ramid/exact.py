@@ -3,15 +3,16 @@
 Rationals are ``fractions.Fraction`` (always reduced, positive denominator),
 which already carries the invariants and the ``p/q`` string format required
 here.  ``Surd`` represents ``p + q*sqrt(d)`` with rational ``p``, ``q`` and a
-squarefree integer radicand ``d``; normalization is eager so equality and
-hashing are structural.  Everything is immutable.
+squarefree integer radicand ``d``, so equality and hashing are structural;
+arithmetic results keep their operands' normalized field.  Immutable.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import total_ordering
+from functools import cache, total_ordering
+from itertools import compress
 from math import gcd, isqrt
 
 from .errors import IncompatibleFieldError, PreconditionError
@@ -152,6 +153,18 @@ def _factor(n: int, out: dict[int, int]) -> None:
     _factor(n // d, out)
 
 
+@cache
+def _trial_primes() -> tuple[int, ...]:
+    # The 564 primes below 4096, sieved on first use instead of at import.
+    n = 4096
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n, p)))
+    return tuple(compress(range(n), sieve))
+
+
 def squarefree_decompose(n: int) -> tuple[int, int]:
     """Write ``n = s*s*f`` with ``f`` squarefree; return ``(f, s)``.
 
@@ -162,7 +175,8 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     if n in (0, 1):
         return n, 1
     f, s = 1, 1
-    for p in range(2, 4096):
+    # Composites never divide what is left: their prime factors are out by then.
+    for p in _trial_primes():
         if p * p > n:
             break
         while n % (p * p) == 0:
@@ -192,9 +206,9 @@ class Surd:
     """Immutable element ``p + q*sqrt(d)`` of a real quadratic field.
 
     ``d`` is kept squarefree (square parts are folded into ``q``), ``q = 0``
-    forces ``d = 0``, and pure rationals embed as ``d = 0``.  Construction is
-    the normalization: it is idempotent and value-preserving.  ``p`` and
-    ``q`` are ints or ``Fraction``s and ``d`` is an int; floats are rejected.
+    forces ``d = 0``, and pure rationals embed as ``d = 0``.  The constructor
+    normalizes; arithmetic results keep the operands' normalized field.  ``p``
+    and ``q`` are ints or ``Fraction``s, ``d`` an int; floats are rejected.
     """
 
     __slots__ = ("p", "q", "d")
@@ -222,6 +236,15 @@ class Surd:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "d", d)
+
+    @classmethod
+    def _field(cls, p: Fraction, q: Fraction, d: int) -> Surd:
+        """``p + q*sqrt(d)`` for Fractions p, q and a squarefree (or 0) d."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "d", d if q else 0)
+        return self
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Surd is immutable")
@@ -264,12 +287,12 @@ class Surd:
         if rhs is None:
             return NotImplemented
         d = self._common_d(rhs)
-        return Surd(self.p + rhs.p, self.q + rhs.q, d)
+        return Surd._field(self.p + rhs.p, self.q + rhs.q, d)
 
     __radd__ = __add__
 
     def __neg__(self) -> Surd:
-        return Surd(-self.p, -self.q, self.d)
+        return Surd._field(-self.p, -self.q, self.d)
 
     def __sub__(self, other: object) -> Surd:
         rhs = self._coerce(other)
@@ -285,7 +308,7 @@ class Surd:
         if rhs is None:
             return NotImplemented
         d = self._common_d(rhs)
-        return Surd(
+        return Surd._field(
             self.p * rhs.p + self.q * rhs.q * d,
             self.p * rhs.q + self.q * rhs.p,
             d,
@@ -294,7 +317,7 @@ class Surd:
     __rmul__ = __mul__
 
     def conjugate(self) -> Surd:
-        return Surd(self.p, -self.q, self.d)
+        return Surd._field(self.p, -self.q, self.d)
 
     def norm(self) -> Fraction:
         """Field norm ``p*p - q*q*d`` (the product with the conjugate)."""
@@ -304,7 +327,7 @@ class Surd:
         n = self.norm()
         if n == 0:
             raise ZeroDivisionError(f"{self} has no inverse")
-        return Surd(self.p / n, -self.q / n, self.d)
+        return Surd._field(self.p / n, -self.q / n, self.d)
 
     def __truediv__(self, other: object) -> Surd:
         rhs = self._coerce(other)

@@ -154,14 +154,16 @@ def discover(
     whose roots are irrational (most of them) are rejected in integers by
     ``rational_identity``, without building their surd roots.
     """
-    if trials <= 0:
+    if require_int("trials", trials) <= 0:
         raise ConfigurationError(f"trials must be positive (got {trials})")
     for name, (lo, hi) in (("A", a_range), ("z", z_range)):
+        require_int(f"{name} range bound", lo)
+        require_int(f"{name} range bound", hi)
         if lo > hi:
             raise ConfigurationError(f"empty {name} range ({lo}, {hi})")
         if not any(v not in (0, 1, -1) for v in range(lo, hi + 1)):
             raise ConfigurationError(f"{name} range ({lo}, {hi}) has no usable value")
-    if k_den_max < 1:
+    if require_int("k_den_max", k_den_max) < 1:
         raise ConfigurationError(f"k denominator bound must be >= 1 (got {k_den_max})")
     t = as_rational("t", t)
     if t == 0:

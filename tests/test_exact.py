@@ -1,9 +1,13 @@
 """Rational and quadratic-surd arithmetic."""
 
+import itertools
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ramid import (
     IncompatibleFieldError,
@@ -22,7 +26,7 @@ from ramid import (
     surd_family_high,
     surd_family_low,
 )
-from ramid.exact import _strong_lucas, is_prime
+from ramid.exact import _factor, _strong_lucas, is_prime
 
 F = Fraction
 
@@ -53,6 +57,58 @@ def test_squarefree_decompose_large_semiprime():
     p, q = 1000003, 1000033
     f, s = squarefree_decompose(p * p * q)
     assert (f, s) == (q, p)
+
+
+def _squarefree_decompose_reference(n):
+    # The trial division by every integer below 4096 that squarefree_decompose
+    # ran before it switched to the primes alone; kept as its reference.
+    if n in (0, 1):
+        return n, 1
+    f, s = 1, 1
+    for p in range(2, 4096):
+        if p * p > n:
+            break
+        while n % (p * p) == 0:
+            n //= p * p
+            s *= p
+        if n % p == 0:
+            n //= p
+            f *= p
+    if n > 1:
+        r = isqrt(n)
+        if r * r == n:
+            s *= r
+        elif is_prime(n):
+            f *= n
+        else:
+            exponents = {}
+            _factor(n, exponents)
+            for p, e in exponents.items():
+                s *= p ** (e // 2)
+                if e % 2:
+                    f *= p
+    return f, s
+
+
+def test_squarefree_decompose_matches_the_reference_below_10_5():
+    for n in range(10**5 + 1):
+        assert squarefree_decompose(n) == _squarefree_decompose_reference(n), n
+
+
+def test_squarefree_decompose_matches_the_reference_up_to_16_digits():
+    rng = random.Random(4096)
+    for _ in range(300):
+        n = rng.randint(2, 10 ** rng.randint(6, 16))
+        assert squarefree_decompose(n) == _squarefree_decompose_reference(n), n
+
+
+def test_squarefree_decompose_across_the_trial_bound():
+    # Primes on both sides of the 4096 trial-division bound, as square and
+    # squarefree parts.
+    parts = (1, 2, 6, 4091, 4093, 4099, 4099**2, 4093 * 4099)
+    for s, f, g in itertools.product(parts, parts, (1, 5, 4091, 4099)):
+        n = s * s * f * g
+        assert squarefree_decompose(n) == _squarefree_decompose_reference(n), n
 
 
 def test_is_prime_small_and_large():
@@ -118,6 +174,12 @@ def test_surd_normalize_fraction_coefficient():
         pytest.param(surd_family_high, (3.5,), id="surd-high"),
         pytest.param(surd_family_low, (-2.5,), id="surd-low"),
         pytest.param(discover, (1, 10, 2.0), id="discover-t"),
+        pytest.param(discover, (1, 10.0, 2), id="discover-trials"),
+        pytest.param(discover, (1, 10, 2, (2.0, 6)), id="discover-a_range-lo"),
+        pytest.param(discover, (1, 10, 2, (2, 6.0)), id="discover-a_range-hi"),
+        pytest.param(discover, (1, 10, 2, (2, 6), (-20.0, 20)), id="discover-z_range-lo"),
+        pytest.param(discover, (1, 10, 2, (2, 6), (-20, 20.0)), id="discover-z_range-hi"),
+        pytest.param(discover, (1, 10, 2, (2, 6), (-20, 20), 12.0), id="discover-k_den_max"),
     ],
 )
 def test_entry_points_reject_floats(entry, args):
@@ -236,6 +298,66 @@ def test_surd_str_round_trip():
     assert str(Surd(3)) == "3"
     assert str(Surd(F(1, 2), F(-3, 4), 5)) == "1/2 - 3/4*sqrt(5)"
     assert parse_surd("1/2 - 3/4*sqrt(5)") == Surd(F(1, 2), F(-3, 4), 5)
+
+
+# Squarefree fields: small ones, primes of 9 to 13 digits, and the 13-digit
+# 10**12 + 38 = 2*3*13*17*29*26005097.
+_FIELDS = st.sampled_from(
+    (2, 3, 5, 30030, 999999937, 9999999967, 99999999977, 999999999989,
+     1000000000039, 10**12 + 38)
+)
+_RATIONALS = st.builds(F, st.integers(-10**6, 10**6), st.integers(1, 10**4))
+
+
+def _surds(d):
+    return st.builds(Surd, _RATIONALS, st.one_of(st.just(F(0)), _RATIONALS), st.just(d))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), _FIELDS)
+def test_arithmetic_keeps_the_normalized_field(data, d):
+    s = data.draw(_surds(d))
+    other = data.draw(st.one_of(_surds(d), _RATIONALS, st.integers(-50, 50)))
+    results = [s + other, other + s, s - other, other - s, s * other, other * s,
+               -s, s.conjugate(), s - s, s + (-s), s * s.conjugate()]
+    if other != 0:
+        results.append(s / other)
+    if s != 0:
+        results += [s.inverse(), other / s, s / s]
+    for r in results:
+        # What arithmetic returns is what the normalizing constructor makes
+        # of it (Surd equality is structural).
+        assert type(r.p) is F and type(r.q) is F
+        assert r == Surd(r.p, r.q, r.d)
+    assert s * s.conjugate() == s.norm()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), _FIELDS, _FIELDS)
+def test_arithmetic_rejects_mixed_fields(data, d, e):
+    assume(d != e)
+    s = data.draw(_surds(d).filter(lambda v: not v.is_rational))
+    t = data.draw(_surds(e).filter(lambda v: not v.is_rational))
+    for op in (lambda: s + t, lambda: s - t, lambda: s * t, lambda: s / t):
+        with pytest.raises(IncompatibleFieldError):
+            op()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_FIELDS, st.integers(0, 10**6)).flatmap(_surds))
+def test_parse_surd_inverts_str(s):
+    assert parse_surd(str(s)) == s
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [("1 + 1*sqrt(8)", Surd(1, 2, 2)), ("0 + 3*sqrt(9)", Surd(9)),
+     ("1 + 0*sqrt(5)", Surd(1)), ("2 - 1/2*sqrt(12)", Surd(2, -1, 3)),
+     ("0 + 1*sqrt(0)", Surd(0))],
+)
+def test_parse_surd_normalizes_noncanonical_literals(text, expected):
+    # Parsed text is not trusted to carry a squarefree radicand.
+    assert parse_surd(text) == expected
 
 
 def test_surd_normalize_function():

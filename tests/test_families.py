@@ -1,6 +1,7 @@
 """Closed-form family generators and the seeded search."""
 
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,11 +27,15 @@ from ramid import (
     normalize_tuple,
     rebak_family,
     rebak_variant_family,
+    render_latex,
+    render_text,
     surd_family_high,
     surd_family_low,
+    verify,
     verify_tuple,
     verify_variation,
 )
+from ramid.families import generate
 
 F = Fraction
 
@@ -310,3 +315,40 @@ def test_normalize_tuple():
     assert normalize_tuple(identity) == IdentityTuple(
         F(2), F(3), F(-19), F(7), F(11)
     )
+
+
+def _family_render_calls():
+    """Seeded ``generate`` calls: every family, and for each of 3 to 13 digits
+    an integral and a fractional parameter ``a`` of that size for both surd
+    families (squarefree field radicands of 2 to 13 digits)."""
+    rng = random.Random(20261018)
+    calls = []
+    for _ in range(6):
+        for name in ("rebak", "rebak-variant"):
+            a = rng.choice((1, -1)) * rng.randint(2, 10**6)
+            calls.append((name, {"a": F(a, rng.randint(1, 5))}))
+        calls.append(("general-infinite", {"k": rng.choice((1, -1)) * rng.randint(2, 10**4)}))
+        b = rng.randint(2, 40)
+        calls.append(("long-identity", {"b": b, "n": rng.randint(1, min(20, b * b - 3))}))
+    for digits in range(3, 14):
+        for a in (rng.randint(10 ** (digits - 1), 10**digits - 1),
+                  F(rng.randint(10 ** (digits - 1), 10**digits - 1), rng.randint(2, 99))):
+            calls.append(("surd-high", {"a": F(a)}))
+            calls.append(("surd-low", {"a": -F(a)}))
+    return calls
+
+
+def test_family_render_output_pinned():
+    # sha256 over the "\0"-joined to_json(), verify, render_latex and
+    # render_text of each parsed family member, recorded before Surd
+    # arithmetic kept its operands' field instead of renormalizing.
+    parts = []
+    for name, params in _family_render_calls():
+        original = generate(name, params)
+        text = original.to_json()
+        parsed = type(original).from_json(text)
+        assert parsed == original
+        parts += [text, str(verify(parsed)),
+                  render_latex(parsed, unchecked=True), render_text(parsed, unchecked=True)]
+    digest = hashlib.sha256("\0".join(parts).encode()).hexdigest()
+    assert digest == "813bd9fdf3f94d8303173738f98fd5cd3d8a34b3241ea265ed8a54e86310137b"
