@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -20,6 +21,8 @@ from .identity import IdentityTuple, VariationIdentity, classify, verify, verify
 EXIT_OK = 0
 EXIT_UNVERIFIED = 1
 EXIT_USAGE = 2
+
+_NEGATIVE_FRACTION = re.compile(r"^-\d+/\d+$")
 
 
 def _rational(text: str) -> Fraction:
@@ -189,9 +192,24 @@ _COMMANDS = {
 }
 
 
+def _attach_negative_fractions(argv: list[str]) -> list[str]:
+    # argparse takes "-9/4" for an option (only "-9" and "-2.5" pass as
+    # negative numbers), so "--a -9/4" is passed on as "--a=-9/4".
+    out: list[str] = []
+    for arg in argv:
+        awaits_value = out and out[-1].startswith("--") and "=" not in out[-1]
+        if awaits_value and _NEGATIVE_FRACTION.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _attach_negative_fractions(sys.argv[1:] if argv is None else argv)
+    )
     try:
         return _COMMANDS[args.command](args)
     except PreconditionError as exc:

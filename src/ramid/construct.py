@@ -170,7 +170,8 @@ def solve_roots(gamma: Fraction, beta: Fraction) -> RootPair:
         return RootPair("rational", rational=(Fraction(g + r, m2), Fraction(g - r, m2)))
     f, s = squarefree_decompose(n)
     p, q = Fraction(g, m2), Fraction(s, m2)
-    return RootPair("surd", surd=(Surd(p, q, f), Surd(p, -q, f)))
+    # n is not a square, so f > 1 is squarefree and needs no normalizing.
+    return RootPair("surd", surd=(Surd._field(p, q, f), Surd._field(p, -q, f)))
 
 
 def build_tuple(

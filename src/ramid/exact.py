@@ -23,6 +23,7 @@ _SURD_RE = re.compile(
     r"(?P<q>\d+(?:/\d+)?)\*sqrt\((?P<d>\d+)\)$"
 )
 
+_ZERO = Fraction(0)
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _PSI_12 = 318665857834031151167461
 _PSI_13 = 3317044064679887385961981
@@ -201,14 +202,28 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     return f, s
 
 
+def _sign(a: int | Fraction, b: int | Fraction, d: int) -> int:
+    """Exact sign of ``a + b*sqrt(d)`` for rationals a, b and a squarefree
+    d > 1 (or b = 0).  When a and b differ in sign, a*a against b*b*d
+    decides; the two are never equal, because sqrt(d) is irrational."""
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sa == sb or not sb:
+        return sa
+    if not sa:
+        return sb
+    return sa if a * a > b * b * d else -sa
+
+
 @total_ordering
 class Surd:
     """Immutable element ``p + q*sqrt(d)`` of a real quadratic field.
 
     ``d`` is kept squarefree (square parts are folded into ``q``), ``q = 0``
     forces ``d = 0``, and pure rationals embed as ``d = 0``.  The constructor
-    normalizes; arithmetic results keep the operands' normalized field.  ``p``
-    and ``q`` are ints or ``Fraction``s, ``d`` an int; floats are rejected.
+    normalizes; arithmetic results keep the operands' normalized field, and
+    int or ``Fraction`` operands embed without normalizing.  ``<`` takes the
+    exact sign of the difference without building it.  ``p`` and ``q`` are
+    ints or ``Fraction``s, ``d`` an int; floats are rejected.
     """
 
     __slots__ = ("p", "q", "d")
@@ -222,7 +237,7 @@ class Surd:
         if d < 0:
             raise ValueError("only real quadratic fields: d must be nonnegative")
         if d == 0:
-            q = Fraction(0)
+            q = _ZERO
         elif q == 0:
             d = 0
         else:
@@ -231,7 +246,7 @@ class Surd:
             d = f
             if d == 1:
                 p += q
-                q = Fraction(0)
+                q = _ZERO
                 d = 0
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
@@ -269,10 +284,11 @@ class Surd:
         return self.p
 
     def _coerce(self, other: object) -> Surd | None:
+        # A rational operand embeds as d = 0; it needs no normalization.
         if isinstance(other, Surd):
             return other
         if isinstance(other, (int, Fraction)):
-            return Surd(other)
+            return Surd._field(as_rational("operand", other), _ZERO, 0)
         return None
 
     def _common_d(self, other: Surd) -> int:
@@ -344,21 +360,7 @@ class Surd:
 
     def sign(self) -> int:
         """Exact sign of ``p + q*sqrt(d)``: compares p*p against q*q*d."""
-        if self.q == 0:
-            return (self.p > 0) - (self.p < 0)
-        if self.p == 0:
-            return 1 if self.q > 0 else -1
-        if self.p > 0 and self.q > 0:
-            return 1
-        if self.p < 0 and self.q < 0:
-            return -1
-        lhs, rhs = self.p * self.p, self.q * self.q * self.d
-        if lhs == rhs:
-            return 0
-        # Signs differ, so the larger square decides.
-        if self.p > 0:
-            return 1 if lhs > rhs else -1
-        return -1 if lhs > rhs else 1
+        return _sign(self.p, self.q, self.d)
 
     def __eq__(self, other: object) -> bool:
         rhs = self._coerce(other)
@@ -375,7 +377,9 @@ class Surd:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return (self - rhs).sign() < 0
+        if not (self.q or rhs.q):
+            return self.p < rhs.p
+        return _sign(self.p - rhs.p, self.q - rhs.q, self._common_d(rhs)) < 0
 
     def __bool__(self) -> bool:
         return self.p != 0 or self.q != 0

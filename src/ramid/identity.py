@@ -20,6 +20,18 @@ identity holds exactly when t(1 - 1/A^2)(1 - 1/x)(1 - 1/y)(1 - 1/z) = s and
 s > 0.  With t = tn/td, A = an/ad and v = n/d (d > 0) that is
 tn (an^2 - ad^2) prod(n - d) = td an^2 prod(n + d), with prod(n + d) and
 prod(n) of the same sign.
+
+For a variation the check is made in Z[sqrt(f)], f the entries' common
+squarefree radicand (0 when all are rational): a + b sqrt(f) is the integer
+pair (a, b), and two pairs are equal exactly when their values are, because
+sqrt(f) is irrational.  Canonical entries are positive, and each clears to
+v = w/c with w = a + b sqrt(f) and an integer c > 0, so w > 0.  Then
+1 - 1/v^2 = (w^2 - c^2)/w^2 and 1 + s/v = (w + s c)/w.  With scale = sn/sd,
+the radicand is R = num/(sd D^2) with num = sn prod(w^2 - c^2) and D = prod(w)
+over the radicand entries, and the right side is S = rn/rd with
+rn = prod(w + s c) and rd = prod(w) over the right-side entries.  D and rd are
+positive, so S has the sign of rn, and R = S^2 already makes R nonnegative.
+The identity holds exactly when num rd^2 = sd (rn D)^2 and rn >= 0.
 """
 
 from __future__ import annotations
@@ -28,11 +40,13 @@ import enum
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 from .errors import IncompatibleFieldError, PreconditionError, TrivialInputError
 from .exact import (
     Surd,
+    _sign,
     as_rational,
     is_prime,
     parse_rational,
@@ -268,10 +282,39 @@ class VariationIdentity:
         )
 
 
+def _cleared(v: Surd) -> tuple[int, int, int]:
+    # v = (a + b sqrt(d))/c with integers a, b and c > 0.
+    (pn, pd), (qn, qd) = v.p.as_integer_ratio(), v.q.as_integer_ratio()
+    c = lcm(pd, qd)
+    return pn * (c // pd), qn * (c // qd), c
+
+
+def _times(x: tuple[int, int], y: tuple[int, int], f: int) -> tuple[int, int]:
+    # (x0 + x1 sqrt(f)) (y0 + y1 sqrt(f)) as an integer pair.
+    return x[0] * y[0] + x[1] * y[1] * f, x[0] * y[1] + x[1] * y[0]
+
+
 def verify_variation(identity: VariationIdentity) -> bool:
-    r = identity.radicand()
-    s = identity.rhs_product()
-    return r.sign() >= 0 and s.sign() >= 0 and r == s * s
+    """Exact truth of the identity: radicand and right side nonnegative,
+    radicand equal to the square of the right side.  Decided in integer pairs
+    over one denominator (see the module docstring); ``radicand()`` and
+    ``rhs_product()`` are the ``Surd`` reference for it."""
+    f = identity.field_radicand()
+    sn, sd = identity.scale.as_integer_ratio()
+    num, D = (sn, 0), (1, 0)
+    for v in identity.radicand_entries:
+        a, b, c = _cleared(v)
+        num = _times(num, (a * a + b * b * f - c * c, 2 * a * b), f)
+        D = _times(D, (a, b), f)
+    rn, rd = (1, 0), (1, 0)
+    for v, s in identity.rhs_entries:
+        a, b, c = _cleared(v)
+        rn = _times(rn, (a + s * c, b), f)
+        rd = _times(rd, (a, b), f)
+    lhs = _times(num, _times(rd, rd, f), f)
+    rn_d = _times(rn, D, f)
+    rhs = _times(rn_d, rn_d, f)
+    return lhs == (sd * rhs[0], sd * rhs[1]) and _sign(*rn, f) >= 0
 
 
 def verify(identity: IdentityTuple | VariationIdentity) -> bool:

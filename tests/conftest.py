@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from ramid import (
     IdentityTuple,
@@ -101,6 +103,58 @@ def family_variations() -> list[VariationIdentity]:
     out += [surd_family_high(a) for a in SURD_HIGH_GRID]
     out += [surd_family_low(a) for a in SURD_LOW_GRID]
     return out
+
+
+# Squarefree fields: small ones, primes of 9 to 13 digits, and the 13-digit
+# 10**12 + 38 = 2*3*13*17*29*26005097.
+FIELDS = (2, 3, 5, 30030, 999999937, 9999999967, 99999999977, 999999999989,
+          1000000000039, 10**12 + 38)
+
+_RATIONALS = st.builds(F, st.integers(-60, 60), st.integers(1, 15))
+_NONZERO = _RATIONALS.filter(lambda v: v != 0)
+_NONTRIVIAL = _RATIONALS.filter(lambda v: v not in (0, 1, -1))
+
+
+@st.composite
+def signed_tuples(draw):
+    """Signed rational tuples.  Half the time z solves
+    t(1 - 1/A^2)(1 - 1/x)(1 - 1/y)(1 - 1/z) = (1 + 1/x)(1 + 1/y)(1 + 1/z),
+    so that hits, and hits whose right side is negative, are common."""
+    t, A, x, y = draw(_NONZERO), draw(_NONTRIVIAL), draw(_NONTRIVIAL), draw(_NONTRIVIAL)
+    if draw(st.booleans()):
+        return IdentityTuple(t, A, x, y, draw(_NONTRIVIAL))
+    c = t * (1 - 1 / (A * A)) * (1 - 1 / x) * (1 - 1 / y) / ((1 + 1 / x) * (1 + 1 / y))
+    assume(c not in (1, -1))
+    return IdentityTuple(t, A, x, y, (c + 1) / (c - 1))
+
+
+@st.composite
+def variations(draw):
+    """Variations over Q or one field of ``FIELDS``, with up to 6 radicand and
+    4 right-side entries.  Half the time the entries are conjugate pairs and
+    rationals, which makes both sides rational, and the scale is solved from
+    R = S^2: those verify, or fail only on the sign of the right side."""
+    d = draw(st.sampled_from((0,) + FIELDS))
+    entries = st.builds(
+        Surd, _RATIONALS, _RATIONALS if d else st.just(0), st.just(d)
+    ).filter(lambda v: v not in (0, 1, -1))
+    signed = st.tuples(entries, st.sampled_from((1, -1)))
+    if draw(st.booleans()):
+        return VariationIdentity(
+            draw(_NONZERO),
+            tuple(draw(st.lists(entries, max_size=6))),
+            tuple(draw(st.lists(signed, max_size=4))),
+        )
+    rationals = st.builds(Surd, _NONTRIVIAL)
+    radicand = draw(st.lists(entries, max_size=2))
+    rhs = draw(st.lists(signed, max_size=1))
+    radicand += [v.conjugate() for v in radicand] + draw(st.lists(rationals, max_size=2))
+    rhs += [(v.conjugate(), s) for v, s in rhs] + draw(
+        st.lists(st.tuples(rationals, st.sampled_from((1, -1))), max_size=2)
+    )
+    unscaled = VariationIdentity(1, tuple(radicand), tuple(rhs))
+    r, s = unscaled.radicand().as_rational(), unscaled.rhs_product().as_rational()
+    return VariationIdentity(s * s / r, unscaled.radicand_entries, unscaled.rhs_entries)
 
 
 @pytest.fixture(scope="session")

@@ -1,11 +1,18 @@
 """The command-line front end: exit codes and one-line messages, no tracebacks."""
 
+import contextlib
 import io
 import json
+from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ramid.cli import EXIT_OK, EXIT_USAGE, main
+from conftest import signed_tuples, variations
+from ramid import IdentityTuple, VariationIdentity, surd_family_low
+from ramid.cli import EXIT_OK, EXIT_UNVERIFIED, EXIT_USAGE, main
 
 NOTEBOOK = {"t": "2", "A": "3", "x": "7", "y": "11", "z": "19"}
 
@@ -40,7 +47,81 @@ def test_render_reports_malformed_records(monkeypatch, capsys, line):
     assert err.startswith("ramid: not an identity record") and "Traceback" not in err
 
 
+@st.composite
+def _malformed_records(draw):
+    """A record of a drawn identity with one fault: a required key missing,
+    a number in place of a string, or an rhs sign other than "+" or "-"."""
+    record = draw(st.one_of(signed_tuples(), variations())).to_json_dict()
+    number = st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False))
+    if "radicand" not in record:  # a tuple: every key is a required string
+        key = draw(st.sampled_from(sorted(record)))
+        if draw(st.booleans()):
+            del record[key]
+        else:
+            record[key] = draw(number)
+        return record
+    fault = draw(st.sampled_from(["missing", "number"] + ["sign"] * bool(record["rhs"])))
+    if fault == "missing":
+        del record[draw(st.sampled_from(("radicand", "rhs")))]
+    elif fault == "number":
+        slots = [(record, "scale"), *((record["radicand"], i) for i in range(len(record["radicand"])))]
+        slots += [(entry, 0) for entry in record["rhs"]]
+        container, key = draw(st.sampled_from(slots))
+        container[key] = draw(number)
+    else:
+        entry = draw(st.sampled_from(record["rhs"]))
+        entry[1] = draw(st.one_of(number, st.text().filter(lambda c: c not in ("+", "-"))))
+    return record
+
+
+@settings(max_examples=200, deadline=None)
+@given(_malformed_records())
+def test_malformed_records_are_rejected(record):
+    # Same dispatch as the CLI: a record with "radicand" is a variation.
+    cls = VariationIdentity if "radicand" in record else IdentityTuple
+    with pytest.raises((KeyError, TypeError, ValueError)):
+        cls.from_json_dict(record)
+    err = io.StringIO()
+    with (
+        mock.patch("sys.stdin", io.StringIO(json.dumps(record) + "\n")),
+        contextlib.redirect_stdout(io.StringIO()),
+        contextlib.redirect_stderr(err),
+    ):
+        assert main(["render", "--format", "json"]) == EXIT_USAGE
+    assert err.getvalue().startswith("ramid: not an identity record")
+
+
 def test_enumerate_super_perfect(capsys):
     assert main(["enumerate", "--primes-only"]) == EXIT_OK
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 3 and all('"class": "prime"' in line for line in out)
+
+
+@pytest.mark.parametrize("a", [["--a", "-9/4"], ["--a=-9/4"]], ids=["separate", "joined"])
+def test_family_takes_a_negative_fraction(capsys, a):
+    assert main(["family", "surd-low", *a]) == EXIT_OK
+    assert capsys.readouterr().out.strip() == surd_family_low(Fraction(-9, 4)).to_json()
+
+
+@pytest.mark.parametrize(
+    "argv, code, expected",
+    [
+        (["verify", "--t", "1/9", "--A", "-5/4", "--x", "-3/2", "--y", "-11/4", "--z", "-5/2"],
+         EXIT_OK, {"t": "1/9", "A": "-5/4", "x": "-3/2", "y": "-11/4", "z": "-5/2"}),
+        (["verify", "--t", "-1/2", "--A", "3", "--x", "7", "--y", "11", "--z", "-19/3"],
+         EXIT_UNVERIFIED, {"t": "-1/2", "z": "-19/3"}),
+        (["solve", "--t", "-1/2", "--A", "3", "--z", "-7/3", "--k", "-1/5"],
+         EXIT_OK, {"t": "-1/2", "z": "-7/3", "k": "-1/5"}),
+    ],
+    ids=["verify", "verify-false", "solve"],
+)
+def test_rational_options_take_negative_fractions(capsys, argv, code, expected):
+    assert main(argv) == code
+    out = json.loads(capsys.readouterr().out)
+    assert {key: out[key] for key in expected} == expected
+
+
+def test_discover_takes_a_negative_t(capsys):
+    assert main(["discover", "--seed", "1", "--trials", "2000", "--t", "-15/16"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines and all(json.loads(line)["t"] == "-15/16" for line in lines)

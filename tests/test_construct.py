@@ -21,6 +21,7 @@ from ramid import (
     rational_identity,
     recover_k,
     solve_roots,
+    squarefree_decompose,
     verify_tuple,
 )
 
@@ -145,6 +146,21 @@ def test_build_tuple_surd_roots_have_no_identity():
     result = build_tuple(F(2), F(3), F(19), F(1, 5))
     assert result.roots.kind == "surd"
     assert result.identity() is None
+
+
+def test_surd_roots_decompose_the_discriminant_once(monkeypatch):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return squarefree_decompose(n)
+
+    # Surd(...) looks the function up in ramid.exact, solve_roots in ramid.construct.
+    monkeypatch.setattr("ramid.exact.squarefree_decompose", counted)
+    monkeypatch.setattr("ramid.construct.squarefree_decompose", counted)
+    result = build_tuple(2, 3, 19, F(1, 5))
+    assert result.roots.kind == "surd"
+    assert len(calls) == 1
 
 
 def test_negative_discriminant_reported_not_raised():
@@ -314,6 +330,8 @@ def test_solve_roots_matches_the_fraction_discriminant(quadratic):
     assert hi >= lo
     for root in (hi, lo):
         assert root * root - gamma * root + beta == 0
+        if not is_square:  # the field is already normalized
+            assert root == Surd(root.p, root.q, root.d)
 
 
 def _pinned_grid() -> list[tuple[Fraction, Fraction, Fraction, Fraction]]:

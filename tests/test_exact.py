@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import FIELDS
 from ramid import (
     IncompatibleFieldError,
     PreconditionError,
@@ -300,12 +301,7 @@ def test_surd_str_round_trip():
     assert parse_surd("1/2 - 3/4*sqrt(5)") == Surd(F(1, 2), F(-3, 4), 5)
 
 
-# Squarefree fields: small ones, primes of 9 to 13 digits, and the 13-digit
-# 10**12 + 38 = 2*3*13*17*29*26005097.
-_FIELDS = st.sampled_from(
-    (2, 3, 5, 30030, 999999937, 9999999967, 99999999977, 999999999989,
-     1000000000039, 10**12 + 38)
-)
+_FIELDS = st.sampled_from(FIELDS)
 _RATIONALS = st.builds(F, st.integers(-10**6, 10**6), st.integers(1, 10**4))
 
 
@@ -341,6 +337,30 @@ def test_arithmetic_rejects_mixed_fields(data, d, e):
     for op in (lambda: s + t, lambda: s - t, lambda: s * t, lambda: s / t):
         with pytest.raises(IncompatibleFieldError):
             op()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), _FIELDS, _FIELDS)
+def test_comparisons_agree_with_the_sign_of_the_difference(data, d, e):
+    s = data.draw(_surds(d))
+    x = data.draw(st.one_of(_RATIONALS, st.integers(-50, 50)))
+    other = data.draw(st.one_of(_surds(d), st.just(x)))
+    sign = (s - other).sign()
+    assert (s < other, s == other, s > other) == (sign < 0, sign == 0, sign > 0)
+    assert (s <= other, s >= other) == (sign <= 0, sign >= 0)
+    assert (other < s, other > s) == (sign > 0, sign < 0)
+    ordered = sorted(data.draw(st.lists(_surds(d), max_size=8)) + [s])
+    assert all((b - a).sign() >= 0 for a, b in zip(ordered, ordered[1:]))
+    # A rational operand is coerced to what the constructor makes of it.
+    c, expected = s._coerce(x), Surd(x)
+    assert (type(c.p), type(c.q)) == (F, F)
+    assert (c.p, c.q, c.d) == (expected.p, expected.q, expected.d)
+    if d != e:
+        t = data.draw(_surds(e).filter(lambda v: not v.is_rational))
+        u = s if not s.is_rational else Surd(s.p, 1, d)
+        for op in (lambda: u < t, lambda: u > t, lambda: u <= t, lambda: sorted([u, t])):
+            with pytest.raises(IncompatibleFieldError):
+                op()
 
 
 @settings(max_examples=300, deadline=None)
