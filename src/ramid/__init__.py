@@ -7,7 +7,6 @@ from .construct import (
     ConstructionResult,
     RootPair,
     build_tuple,
-    gamma_beta,
     rational_identity,
     recover_k,
     solve_roots,
@@ -37,7 +36,6 @@ from .exact import (
     squarefree_decompose,
 )
 from .families import (
-    FAMILY_NAMES,
     discover,
     general_infinite_family,
     long_identity,

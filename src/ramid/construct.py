@@ -49,7 +49,7 @@ from math import isqrt, lcm
 
 from .errors import TrivialInputError
 from .exact import Surd, as_rational, squarefree_decompose
-from .identity import IdentityTuple
+from .identity import IdentityTuple, _check_nontrivial
 
 
 @dataclass(frozen=True)
@@ -125,9 +125,8 @@ def _exact_inputs(
         raise TrivialInputError("t must be nonzero")
     if k == 0:
         raise TrivialInputError("k must be nonzero")
-    for name, value in (("A", A), ("z", z)):
-        if value in (0, 1, -1):
-            raise TrivialInputError(f"{name} must not be 0, 1 or -1 (got {value})")
+    _check_nontrivial("A", A)
+    _check_nontrivial("z", z)
     return t, A, z, k
 
 
@@ -145,13 +144,6 @@ def _cleared(
     g = k.numerator * (p * zn - q * zd)
     b = k.numerator * (q * zn - p * zd) - m
     return g, b, m, g * g - 4 * b * m
-
-
-def gamma_beta(
-    t: int | Fraction, A: int | Fraction, z: int | Fraction, k: int | Fraction
-) -> tuple[Fraction, Fraction]:
-    g, b, m, _ = _cleared(*_exact_inputs(t, A, z, k))
-    return Fraction(g, m), Fraction(b, m)
 
 
 def solve_roots(gamma: Fraction, beta: Fraction) -> RootPair:

@@ -63,12 +63,6 @@ class Classification(enum.Enum):
     SUPER_PERFECT = "super-perfect"
     PRIME = "prime"
 
-    def at_least(self, other: "Classification") -> bool:
-        """True if this tag implies ``other`` in the nesting order, which is
-        the order of definition."""
-        order = list(Classification)
-        return order.index(self) >= order.index(other)
-
 
 def _check_nontrivial(name: str, value: Fraction) -> None:
     if value.numerator in (0, 1, -1) and value.denominator == 1:

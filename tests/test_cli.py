@@ -104,6 +104,22 @@ def test_family_takes_a_negative_fraction(capsys, a):
 
 
 @pytest.mark.parametrize(
+    "argv, got",
+    [(["--a", "2", "--k", "3"], "['a', 'k']"), ([], "[]")],
+    ids=["extra", "missing"],
+)
+def test_family_takes_exactly_its_parameters(capsys, argv, got):
+    assert main(["family", "rebak", *argv]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"ramid: family rebak takes exactly ['a'] (got {got})\n"
+
+
+def test_family_outside_its_domain_exits_2(capsys):
+    assert main(["family", "surd-low", "--a", "-1"]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("ramid: surd_family_low(-1): ")
+
+
+@pytest.mark.parametrize(
     "argv, code, expected",
     [
         (["verify", "--t", "1/9", "--A", "-5/4", "--x", "-3/2", "--y", "-11/4", "--z", "-5/2"],

@@ -17,7 +17,6 @@ from ramid import (
     Surd,
     TrivialInputError,
     build_tuple,
-    gamma_beta,
     rational_identity,
     recover_k,
     solve_roots,
@@ -28,18 +27,23 @@ from ramid import (
 F = Fraction
 
 
+def _gamma_beta(*inputs):
+    result = build_tuple(*inputs)
+    return result.gamma, result.beta
+
+
 def test_gamma_beta_notebook_instance():
-    assert gamma_beta(F(2), F(3), F(19), F(1, 6)) == (18, 77)
+    assert _gamma_beta(F(2), F(3), F(19), F(1, 6)) == (18, 77)
 
 
 def test_gamma_beta_family_instance_a2():
     # direct substitution gives gamma = 13 (= 5a + 3 at a = 2), beta = 40
-    assert gamma_beta(F(3), F(2), F(13), F(1, 4)) == (13, 40)
+    assert _gamma_beta(F(3), F(2), F(13), F(1, 4)) == (13, 40)
 
 
 def test_gamma_beta_long_variation_instance():
     t = 1 - F(1, 23**2)
-    assert gamma_beta(t, F(-24), F(-45), F(1, 528)) == (-2, -99)
+    assert _gamma_beta(t, F(-24), F(-45), F(1, 528)) == (-2, -99)
 
 
 @pytest.mark.parametrize(
@@ -48,19 +52,19 @@ def test_gamma_beta_long_variation_instance():
 )
 def test_gamma_beta_rejects_trivial_inputs(t, A, z, k):
     with pytest.raises(TrivialInputError):
-        gamma_beta(F(t), F(A), F(z), F(k))
+        build_tuple(F(t), F(A), F(z), F(k))
 
 
 def test_construction_entry_points_coerce_ints():
-    gamma, beta = gamma_beta(2, 3, 19, F(1, 6))
-    assert (gamma, beta) == (18, 77) and type(gamma) is type(beta) is Fraction
     result = build_tuple(2, 3, 19, F(1, 6))
+    assert (result.gamma, result.beta) == (18, 77)
+    assert type(result.gamma) is type(result.beta) is Fraction
     assert all(type(v) is Fraction for v in (result.t, result.A, result.z, result.k))
     assert result.identity() == IdentityTuple(F(2), F(3), F(7), F(11), F(19))
     assert rational_identity(2, 3, 19, F(1, 6)) == result.identity()
 
 
-@pytest.mark.parametrize("entry", [gamma_beta, build_tuple, rational_identity])
+@pytest.mark.parametrize("entry", [build_tuple, rational_identity])
 @pytest.mark.parametrize("slot", range(4))
 def test_construction_entry_points_reject_floats(entry, slot):
     args = [F(2), F(3), F(19), F(1, 6)]
@@ -121,7 +125,7 @@ def test_discriminant_closed_form_randomized():
         k = F(rng.randint(-20, 20), rng.randint(1, 9))
         if t == 0 or k == 0 or A in (0, 1, -1) or z in (0, 1, -1):
             continue
-        gamma, beta = gamma_beta(t, A, z, k)
+        gamma, beta = _gamma_beta(t, A, z, k)
         expected = ((z - 1) * (A * A - 1) * k * t - A * A * k * (1 + z) - 2) ** 2
         expected -= 8 * A * A * k * (1 + z)
         assert gamma * gamma - 4 * beta == expected
@@ -288,7 +292,7 @@ def test_gamma_beta_matches_the_fraction_formula(inputs):
     u = (A * A - 1) * t
     gamma = (u - A * A) * k * z - (u + A * A) * k
     beta = (u + A * A) * k * z - (u - A * A) * k - 1
-    assert gamma_beta(t, A, z, k) == (gamma, beta)
+    assert _gamma_beta(t, A, z, k) == (gamma, beta)
 
 
 @settings(max_examples=300, deadline=None)

@@ -126,7 +126,7 @@ def test_appendix_file_has_one_repeat():
 def test_appendix_all_verify_and_classify_super_perfect():
     for identity in appendix_distinct():
         assert verify_tuple(identity)
-        assert classify(identity).at_least(Classification.SUPER_PERFECT)
+        assert classify(identity) in (Classification.SUPER_PERFECT, Classification.PRIME)
 
 
 def test_super_perfect_all_have_t_2(super_perfect_report):
@@ -174,7 +174,9 @@ def test_perfect_all_verify_and_are_perfect(perfect_report):
     assert perfect_report.identities  # nonempty and finite by construction
     for identity in perfect_report.identities:
         assert verify_tuple(identity)
-        assert classify(identity).at_least(Classification.PERFECT)
+        assert classify(identity) in (
+            Classification.PERFECT, Classification.SUPER_PERFECT, Classification.PRIME
+        )
         assert identity.x <= identity.y <= identity.z
 
 

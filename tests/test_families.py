@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,6 @@ from ramid import (
     build_tuple,
     classify,
     discover,
-    gamma_beta,
     general_infinite_family,
     long_identity,
     normalize_tuple,
@@ -64,9 +64,9 @@ def test_rebak_grid_verifies():
 
 def test_rebak_gamma_beta_closed_forms():
     for a in REBAK_GRID:
-        gamma, beta = gamma_beta((a + 1) / (a - 1), a, 6 * a + 1, 1 / (2 * a))
-        assert gamma == 5 * a + 3
-        assert beta == 6 * a * a + 7 * a + 2
+        result = build_tuple((a + 1) / (a - 1), a, 6 * a + 1, 1 / (2 * a))
+        assert result.gamma == 5 * a + 3
+        assert result.beta == 6 * a * a + 7 * a + 2
 
 
 def test_rebak_is_a_construction_instance():
@@ -160,9 +160,12 @@ def test_long_identity_b3_n2():
 
 
 def test_long_identity_b2_n3_violates_zero_condition():
-    # a = -2: a + 2 = 0 is the constraint that fires (the tail value
-    # 2a + 2n - 1 = 1 is also degenerate, but the zero check comes first).
-    with pytest.raises(FamilyDomainError, match=r"a \+ 2 = 0"):
+    # a = -2: the radicand run a-1, ..., a+n-1 is -3, -2, -1, 0, and the tail
+    # 2a + 2n - 1 = 1; the model reports the first trivial entry it meets.
+    with pytest.raises(
+        FamilyDomainError,
+        match=r"^long_identity\(2, 3\): radicand entry must not be 0, 1 or -1: 1$",
+    ):
         long_identity(2, 3)
 
 
@@ -190,10 +193,9 @@ def test_long_identity_routes_through_construction():
         t = F(1)
         for i in range(n):
             t *= 1 - F(1, (a + i) ** 2)
-        gamma, beta = gamma_beta(t, F(a - 1), F(2 * a + 2 * n - 1),
-                                 F(1, (a - 1) * (a + n)))
-        assert gamma == -2
-        assert gamma * gamma - 4 * beta == 16 * b * b
+        result = build_tuple(t, F(a - 1), F(2 * a + 2 * n - 1), F(1, (a - 1) * (a + n)))
+        assert result.gamma == -2
+        assert result.gamma ** 2 - 4 * result.beta == 16 * b * b
 
 
 def test_surd_high_a5_all_rational():
@@ -241,7 +243,7 @@ def test_surd_low_sqrt3_instance():
     assert verify_variation(v)
 
 
-@pytest.mark.parametrize("a", [F(1), F(0), F(-1, 2), F(2)])
+@pytest.mark.parametrize("a", [F(1), F(0), F(-1, 2), F(2), F(-1)])
 def test_surd_low_excluded(a):
     with pytest.raises(FamilyDomainError):
         surd_family_low(a)
@@ -258,6 +260,75 @@ def test_surd_low_sign_degenerate_window():
     v = surd_family_low(F(-3, 4))
     assert not verify_variation(v)
     assert v.radicand() == v.rhs_product() * v.rhs_product()
+
+
+def _trivial(*values):
+    return any(v in (0, 1, -1) for v in values)
+
+
+# Reference domains written from the docstring shapes: a parameter is
+# rejected exactly when it is outside the family's stated domain, leaves t
+# undefined or zero, or makes some entry 0, 1 or -1.  t = (a+1)/(a-1) is zero
+# only at a = -1, where A = a is trivial too.  A surd entry 2s +- 1 with
+# s = sqrt(r) >= 0 is 0, 1 or -1 exactly when r is 0, 1/4 or 1.
+_SHAPE_REJECTS = {
+    rebak_family: lambda a: a == 1 or _trivial(a, 2 * a + 1, 3 * a + 2, 6 * a + 1),
+    rebak_variant_family: lambda a: a == 1 or _trivial(a, 2 * a + 1, 3 * a + 1, 6 * a + 5),
+    surd_family_high: lambda a: (
+        a < 3 or _trivial(a, a - 1, 2 * a + 1) or a - 1 in (0, F(1, 4), 1)
+    ),
+    surd_family_low: lambda a: (
+        a > 1 or _trivial(a, a - 1, 2 * a + 1) or 2 - a in (0, F(1, 4), 1)
+    ),
+}
+
+
+def _rejects(generator, *params):
+    try:
+        generator(*params)
+    except FamilyDomainError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("generator", list(_SHAPE_REJECTS), ids=lambda g: g.__name__)
+def test_rational_family_domains_follow_the_shapes(generator):
+    # every a = p/q with |p| <= 60 and 1 <= q <= 60
+    grid = {F(p, q) for p in range(-60, 61) for q in range(1, 61)}
+    for a in grid:
+        assert _rejects(generator, a) == _SHAPE_REJECTS[generator](a), a
+
+
+def test_general_infinite_domain_follows_the_shape():
+    for k in range(-300, 301):
+        assert _rejects(general_infinite_family, k) == _trivial(k, 1 - 2 * k * k), k
+
+
+def test_long_identity_domain_follows_the_shape():
+    for b in range(0, 11):
+        for n in range(-1, 111):
+            a = 2 - b * b
+            entries = (2 * b + 1, 2 * b - 1, 2 * a + 2 * n - 1, *range(a - 1, a + n))
+            expected = b < 2 or n < 1 or _trivial(*entries)
+            assert _rejects(long_identity, b, n) == expected, (b, n)
+
+
+def test_domain_errors_name_the_generator_and_the_entry():
+    with pytest.raises(
+        FamilyDomainError, match=r"^rebak_family\(-1/2\): x must not be 0, 1 or -1 \(got 0\)$"
+    ):
+        rebak_family(F(-1, 2))
+    with pytest.raises(FamilyDomainError, match=r"^surd_family_low\(-1\): radicand entry"):
+        surd_family_low(F(-1))
+    with pytest.raises(FamilyDomainError, match=r"^long_identity\(2, n=3\): radicand entry"):
+        long_identity(2, n=3)
+
+
+@pytest.mark.parametrize("params", [{}, {"k": 5}, {"a": 3, "k": 5}])
+def test_generate_takes_exactly_the_family_parameters(params):
+    message = f"family rebak takes exactly ['a'] (got {sorted(params)})"
+    with pytest.raises(FamilyDomainError, match=f"^{re.escape(message)}$"):
+        generate("rebak", params)
 
 
 def test_discover_finds_search_identity():

@@ -185,12 +185,6 @@ def test_classify_requires_verification():
         classify(tup(2, 3, 7, 11, 20))
 
 
-def test_classification_nesting():
-    assert Classification.PRIME.at_least(Classification.SUPER_PERFECT)
-    assert Classification.SUPER_PERFECT.at_least(Classification.PERFECT)
-    assert not Classification.GENERAL.at_least(Classification.PERFECT)
-
-
 def test_tuple_json_round_trip():
     identity = tup(F(15, 16), 2, 9, 17, -3)
     again = IdentityTuple.from_json(identity.to_json())
