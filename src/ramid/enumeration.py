@@ -30,14 +30,16 @@ cells where comparing A with x alone bounds nothing.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
+from itertools import compress
 from math import isqrt
 from typing import Callable, Iterable, Iterator, TextIO
 
 from .exact import as_rational, is_prime, require_int
-from .identity import IdentityTuple, classify, verify_tuple
+from .errors import PreconditionError
+from .identity import Classification, IdentityTuple, classify
 
 SUPER_PERFECT_T_VALUES = range(2, 7)
 PERFECT_T_MAX = 36  # (1 + 1/3)(1 + 2)^3, every variable at its minimum 2
@@ -50,6 +52,7 @@ class EnumerationReport:
     identities: tuple[IdentityTuple, ...]
     candidates_examined: int
     wall_time: float
+    tags: tuple[Classification, ...] = ()  # classify(identity), one per identity
 
     def to_summary_dict(self) -> dict:
         return {
@@ -59,8 +62,8 @@ class EnumerationReport:
         }
 
     def write_jsonl(self, stream: TextIO) -> None:
-        for identity in self.identities:
-            stream.write(identity.to_json(classify(identity)) + "\n")
+        for identity, tag in zip(self.identities, self.tags, strict=True):
+            stream.write(identity.to_json(tag) + "\n")
 
 
 def solve_z(t: Fraction | int, A: int, x: int, y: int) -> int | None:
@@ -219,7 +222,7 @@ def _run_cells(
     scan: Callable[[tuple[int, int]], Iterator[tuple[int, ...]]],
 ) -> EnumerationReport:
     """Complete every candidate of every cell to z, then dedup and sort the
-    integer tuples and build and verify each identity once."""
+    integer tuples and build, verify and classify each identity once."""
     start = time.perf_counter()
     found: set[tuple[int, ...]] = set()
     examined = 0
@@ -230,11 +233,16 @@ def _run_cells(
             if z is not None and z >= z_min:
                 found.add((t, A, x, y, z))
     identities = tuple(IdentityTuple(*map(Fraction, v)) for v in sorted(found))
+    tags = []
     for identity in identities:
-        if not verify_tuple(identity):
-            raise AssertionError(f"enumerated tuple fails to verify: {identity}")
+        try:
+            tags.append(classify(identity))  # verifies it first
+        except PreconditionError:
+            raise AssertionError(
+                f"enumerated tuple fails to verify: {identity}"
+            ) from None
     elapsed = time.perf_counter() - start
-    return EnumerationReport(identities, examined, elapsed)
+    return EnumerationReport(identities, examined, elapsed, tuple(tags))
 
 
 def enumerate_super_perfect() -> EnumerationReport:
@@ -255,15 +263,18 @@ def enumerate_perfect() -> EnumerationReport:
 
 def prime_filter(report: EnumerationReport) -> EnumerationReport:
     """Keep tuples whose A, x, y, z are all prime."""
-    kept = tuple(
-        identity
-        for identity in report.identities
-        if all(
+    keep = [
+        all(
             v.denominator == 1 and is_prime(int(v))
             for v in (identity.A, identity.x, identity.y, identity.z)
         )
+        for identity in report.identities
+    ]
+    return replace(
+        report,
+        identities=tuple(compress(report.identities, keep)),
+        tags=tuple(compress(report.tags, keep)),
     )
-    return EnumerationReport(kept, report.candidates_examined, report.wall_time)
 
 
 def load_appendix() -> list[IdentityTuple]:

@@ -30,10 +30,14 @@ _PSI_13 = 3317044064679887385961981
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse the strict ``p/q`` / ``p`` grammar (no floats, no whitespace)."""
+    """Parse the strict ``p/q`` / ``p`` grammar (no floats, no whitespace);
+    a zero denominator is a ``ValueError`` too."""
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise ValueError(f"not a rational literal: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {text!r}") from None
 
 
 def as_rational(name: str, value: int | Fraction) -> Fraction:
@@ -403,11 +407,11 @@ def parse_surd(text: str) -> Surd:
         raise ValueError(f"not a surd literal: {text!r}")
     text = text.strip()
     if _RATIONAL_RE.match(text):
-        return Surd(Fraction(text))
+        return Surd(parse_rational(text))
     m = _SURD_RE.match(text)
     if not m:
         raise ValueError(f"not a surd literal: {text!r}")
-    q = Fraction(m.group("q"))
+    q = parse_rational(m.group("q"))
     if m.group("sign") == "-":
         q = -q
-    return Surd(Fraction(m.group("p")), q, int(m.group("d")))
+    return Surd(parse_rational(m.group("p")), q, int(m.group("d")))

@@ -13,6 +13,11 @@ drawn from a single real quadratic field.  Verification never takes a square
 root: it checks that both sides are nonnegative and that the radicand equals
 the square of the right side, exactly.
 
+A variation is stored in canonical form, so equal identities compare and
+serialize equal: each entry is a positive surd (|v| for a radicand entry v,
+which enters as v^2, and (-w, -s) for a right-side pair (w, s) with w < 0, as
+1 + s/w = 1 + (-s)/(-w)); 0 and +-1 are rejected; both lists ascend, "+" first.
+
 For a tuple the check is made in integers.  Each radicand factor splits as
 1 - 1/v^2 = (1 - 1/v)(1 + 1/v), and the right side s = (1 + 1/x)(1 + 1/y)
 (1 + 1/z) is nonzero because v = -1 is rejected.  Cancelling s once, the
@@ -40,6 +45,7 @@ import enum
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from typing import Iterable
 
@@ -54,6 +60,7 @@ from .exact import (
 )
 
 _ONE = Fraction(1)
+_ZERO = Fraction(0)
 
 
 class Classification(enum.Enum):
@@ -160,33 +167,20 @@ def classify(identity: IdentityTuple) -> Classification:
     return Classification.SUPER_PERFECT
 
 
-def _as_surd(value: Surd | int | Fraction) -> Surd:
-    return value if isinstance(value, Surd) else Surd(as_rational("entry", value))
-
-
-def _canonical_radicand(values: Iterable[Surd]) -> tuple[Surd, ...]:
-    # Only v^2 matters, so negative entries fold to their absolute value.
-    out = []
-    for v in map(_as_surd, values):
-        v = v if v.sign() >= 0 else -v
-        if v in (0, 1):
-            raise TrivialInputError(f"radicand entry must not be 0, 1 or -1: {v}")
-        out.append(v)
-    return tuple(sorted(out))
-
-
-def _canonical_rhs(entries: Iterable[tuple[Surd, int]]) -> tuple[tuple[Surd, int], ...]:
-    # (value, sign) with negative values rewritten as (-value, -sign):
-    # 1 + s/w == 1 + (-s)/(-w).
+def _canonical(
+    entries: Iterable[tuple[Surd | int | Fraction, int]], what: str
+) -> tuple[tuple[Surd, int], ...]:
+    # The canonical form of the module docstring; a radicand entry v is (v, +1).
     out = []
     for value, sign in entries:
         if sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {sign}")
-        value = _as_surd(value)
+        if not isinstance(value, Surd):
+            value = Surd._field(as_rational("entry", value), _ZERO, 0)
         if value.sign() < 0:
             value, sign = -value, -sign
-        if value in (0, 1):
-            raise TrivialInputError(f"rhs value must not be 0, 1 or -1: {value}")
+        if not value.q and value.p in (0, 1):
+            raise TrivialInputError(f"{what} must not be 0, 1 or -1: {value}")
         out.append((value, sign))
     return tuple(sorted(out, key=lambda e: (e[0], -e[1])))
 
@@ -201,28 +195,20 @@ class VariationIdentity:
         object.__setattr__(self, "scale", as_rational("scale", self.scale))
         if self.scale == 0:
             raise TrivialInputError("scale must be nonzero")
-        object.__setattr__(
-            self, "radicand_entries", _canonical_radicand(self.radicand_entries)
-        )
-        object.__setattr__(self, "rhs_entries", _canonical_rhs(self.rhs_entries))
+        radicand = _canonical(((v, 1) for v in self.radicand_entries), "radicand entry")
+        object.__setattr__(self, "radicand_entries", tuple(v for v, _ in radicand))
+        rhs = _canonical(self.rhs_entries, "rhs value")
+        object.__setattr__(self, "rhs_entries", rhs)
         self.field_radicand()  # rejects mixed fields eagerly
 
     def field_radicand(self) -> int:
         """The common squarefree d of all entries (0 if everything is rational)."""
         d = 0
-        for v in self._all_values():
-            if v.d:
-                if d and v.d != d:
-                    raise IncompatibleFieldError(
-                        f"entries mix sqrt({d}) and sqrt({v.d})"
-                    )
-                d = v.d
+        for v in (*self.radicand_entries, *(v for v, _ in self.rhs_entries)):
+            if v.d and d and v.d != d:
+                raise IncompatibleFieldError(f"entries mix sqrt({d}) and sqrt({v.d})")
+            d = d or v.d
         return d
-
-    def _all_values(self) -> Iterable[Surd]:
-        yield from self.radicand_entries
-        for value, _ in self.rhs_entries:
-            yield value
 
     def radicand(self) -> Surd:
         r = Surd(self.scale)
@@ -253,10 +239,11 @@ class VariationIdentity:
             len(e) != 2 or e[1] not in ("+", "-") for e in rhs
         ):
             raise ValueError('need "radicand": [surd, ...], "rhs": [[surd, "+"|"-"], ...]')
+        parse = cache(parse_surd)  # a literal repeated in the record is parsed once
         return cls(
             scale=parse_rational(data.get("scale", "1")),
-            radicand_entries=tuple(parse_surd(v) for v in radicand),
-            rhs_entries=tuple((parse_surd(v), 1 if s == "+" else -1) for v, s in rhs),
+            radicand_entries=tuple(parse(v) for v in radicand),
+            rhs_entries=tuple((parse(v), 1 if s == "+" else -1) for v, s in rhs),
         )
 
     @classmethod
@@ -265,15 +252,8 @@ class VariationIdentity:
 
     @classmethod
     def from_tuple(cls, identity: IdentityTuple) -> "VariationIdentity":
-        return cls(
-            scale=identity.t,
-            radicand_entries=tuple(
-                Surd(v) for v in (identity.A, identity.x, identity.y, identity.z)
-            ),
-            rhs_entries=tuple(
-                (Surd(v), 1) for v in (identity.x, identity.y, identity.z)
-            ),
-        )
+        x, y, z = identity.x, identity.y, identity.z
+        return cls(identity.t, (identity.A, x, y, z), ((x, 1), (y, 1), (z, 1)))
 
 
 def _cleared(v: Surd) -> tuple[int, int, int]:

@@ -1,6 +1,7 @@
 """LaTeX and plain-text display forms for identities.
 
-One display equation per identity: the radicand factors in stored order under
+One display equation per identity: the radicand factors in the canonical order
+of ``VariationIdentity`` (the tuple (2, 5, 4, 15, 251) shows 4 before 5) under
 a single square root, the signed product on the right.  Values render as
 integers, \\frac for non-integer rationals, and p + q\\sqrt{d} for surds;
 negative right-side values always display as subtraction, e.g. (1 - 1/45).
@@ -13,8 +14,6 @@ from fractions import Fraction
 from .errors import PreconditionError
 from .exact import Surd
 from .identity import IdentityTuple, VariationIdentity, verify
-
-_ONE = Fraction(1)
 
 
 def _latex_rational(value: Fraction) -> str:
@@ -50,11 +49,7 @@ def _latex_radicand_factor(value: Surd) -> str:
 
 def _latex_rhs_factor(value: Surd, sign: int) -> str:
     op = "+" if sign > 0 else "-"
-    if value.is_rational and value.p.denominator == 1:
-        denom = str(value.p.numerator)
-    else:
-        denom = _latex_surd(value)
-    return rf"\left(1{op}\frac{{1}}{{{denom}}}\right)"
+    return rf"\left(1{op}\frac{{1}}{{{_latex_surd(value)}}}\right)"
 
 
 def _text_value(value: Surd) -> str:
@@ -63,27 +58,23 @@ def _text_value(value: Surd) -> str:
     return f"({value})"
 
 
-def _as_variation(identity: IdentityTuple | VariationIdentity) -> VariationIdentity:
+def _checked_variation(
+    identity: IdentityTuple | VariationIdentity, unchecked: bool
+) -> VariationIdentity:
+    if not unchecked and not verify(identity):
+        raise PreconditionError(
+            "identity does not verify; pass unchecked to render anyway"
+        )
     if isinstance(identity, IdentityTuple):
         return VariationIdentity.from_tuple(identity)
     return identity
 
 
-def _require_verified(
-    identity: IdentityTuple | VariationIdentity, unchecked: bool
-) -> None:
-    if not unchecked and not verify(identity):
-        raise PreconditionError(
-            "identity does not verify; pass unchecked to render anyway"
-        )
-
-
 def render_latex(
     identity: IdentityTuple | VariationIdentity, unchecked: bool = False
 ) -> str:
-    _require_verified(identity, unchecked)
-    variation = _as_variation(identity)
-    scale = "" if variation.scale == _ONE else _latex_rational(variation.scale)
+    variation = _checked_variation(identity, unchecked)
+    scale = "" if variation.scale == 1 else _latex_rational(variation.scale)
     radicand = scale + "".join(
         _latex_radicand_factor(v) for v in variation.radicand_entries
     )
@@ -94,8 +85,7 @@ def render_latex(
 def render_text(
     identity: IdentityTuple | VariationIdentity, unchecked: bool = False
 ) -> str:
-    _require_verified(identity, unchecked)
-    variation = _as_variation(identity)
+    variation = _checked_variation(identity, unchecked)
     factors = [f"(1 - 1/{_text_value(v)}^2)" for v in variation.radicand_entries]
     if variation.scale != 1:
         factors.insert(0, str(variation.scale))

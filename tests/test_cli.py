@@ -38,8 +38,11 @@ def test_render_round_trips_a_tuple(monkeypatch, capsys):
         '{"radicand": ["3", "7"], "rhs": 7}',  # rhs not a list
         '{"radicand": ["3", "7"], "rhs": ["7+"]}',  # a string is not a pair
         '{"radicand": ["3", "7"], "rhs": [["7", "x"]]}',  # sign not + or -
+        json.dumps({**NOTEBOOK, "t": "1/0"}),  # zero denominator in a tuple
+        '{"radicand": ["1 + 1/0*sqrt(2)", "7"], "rhs": [["7", "+"]]}',  # in a surd
     ],
-    ids=["no-z", "int-t", "list", "rhs-1", "rhs-item-int", "rhs-int", "rhs-str", "rhs-sign"],
+    ids=["no-z", "int-t", "list", "rhs-1", "rhs-item-int", "rhs-int", "rhs-str", "rhs-sign",
+         "tuple-zero-den", "surd-zero-den"],
 )
 def test_render_reports_malformed_records(monkeypatch, capsys, line):
     assert render(monkeypatch, line) == EXIT_USAGE
@@ -135,6 +138,20 @@ def test_rational_options_take_negative_fractions(capsys, argv, code, expected):
     assert main(argv) == code
     out = json.loads(capsys.readouterr().out)
     assert {key: out[key] for key in expected} == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--t", "1/0", "--A", "3", "--x", "7", "--y", "11", "--z", "19"],
+     ["family", "rebak", "--a", "3/0"]],
+    ids=["verify", "family"],
+)
+def test_zero_denominator_option_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "error: argument" in err and "zero denominator" in err
 
 
 def test_discover_takes_a_negative_t(capsys):

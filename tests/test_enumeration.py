@@ -9,6 +9,7 @@ import pytest
 from brute import brute_force_super_perfect
 from ramid import (
     Classification,
+    EnumerationReport,
     IdentityTuple,
     PreconditionError,
     appendix_distinct,
@@ -21,6 +22,7 @@ from ramid import (
 )
 from ramid.enumeration import (
     SUPER_PERFECT_T_VALUES,
+    _run_cells,
     _super_perfect_cells,
     super_x_interval,
     super_y_interval,
@@ -158,6 +160,33 @@ def test_prime_filter_empty_report():
 
     empty = EnumerationReport((), 0, 0.0)
     assert prime_filter(empty).identities == ()
+
+
+def test_enumeration_classifies_each_tuple_once(monkeypatch):
+    # classify looks verify_tuple up in ramid.identity: every call is counted.
+    calls = []
+
+    def counted(identity):
+        calls.append(identity)
+        return verify_tuple(identity)
+
+    monkeypatch.setattr("ramid.identity.verify_tuple", counted)
+    report = enumerate_super_perfect()
+    report.write_jsonl(io.StringIO())
+    primes = prime_filter(report)
+    primes.write_jsonl(io.StringIO())
+    assert calls == list(report.identities)
+    monkeypatch.undo()
+    assert report.tags == tuple(map(classify, report.identities))
+    assert primes.tags == (Classification.PRIME,) * 3
+    with pytest.raises(ValueError):  # a report without its tags is not written
+        EnumerationReport(report.identities, 0, 0.0).write_jsonl(io.StringIO())
+
+
+def test_enumeration_names_a_tuple_that_fails_to_verify(monkeypatch):
+    monkeypatch.setattr("ramid.enumeration.solve_z", lambda t, A, x, y: 20)
+    with pytest.raises(AssertionError, match=r"fails to verify: .*z=Fraction\(20, 1\)"):
+        _run_cells([(2, 3)], lambda cell: iter([(2, 3, 7, 11, 19)]))
 
 
 def test_prime_filter_drops_composites(super_perfect_report):

@@ -46,6 +46,17 @@ def test_parse_rational_rejects_floats_and_junk():
 
 
 @pytest.mark.parametrize(
+    "parse, text",
+    [(parse_rational, "1/0"), (parse_rational, "-3/00"), (parse_surd, "1/0"),
+     (parse_surd, "1 + 1/0*sqrt(2)"), (parse_surd, "-1/0 - 2*sqrt(3)")],
+)
+def test_parsers_reject_a_zero_denominator(parse, text):
+    # A ValueError, not a ZeroDivisionError: the CLI reports it and exits 2.
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse(text)
+
+
+@pytest.mark.parametrize(
     "n, expected",
     [(0, (0, 1)), (1, (1, 1)), (8, (2, 2)), (12, (3, 2)), (360, (10, 6)),
      (997, (997, 1)), (2**20, (1, 2**10)), (7**3 * 11**2, (7, 77))],

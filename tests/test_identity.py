@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     family_tuples,
@@ -27,6 +28,8 @@ from ramid import (
     is_prime,
     rebak_family,
     rebak_variant_family,
+    squarefree_decompose,
+    surd_family_high,
     surd_family_low,
     verify,
     verify_tuple,
@@ -339,6 +342,37 @@ def test_verify_variation_matches_the_surd_reference_on_families():
 @given(variations())
 def test_variation_json_round_trip_property(identity):
     assert VariationIdentity.from_json(identity.to_json()) == identity
+
+
+@settings(max_examples=200, deadline=None)
+@given(variations(), st.randoms(use_true_random=False))
+def test_canonical_form_ignores_entry_order_and_signs(identity, rng):
+    radicand = [-v for v in identity.radicand_entries]
+    rhs = [(-v, -s) for v, s in identity.rhs_entries]
+    rng.shuffle(radicand)
+    rng.shuffle(rhs)
+    rebuilt = VariationIdentity(identity.scale, tuple(radicand), tuple(rhs))
+    assert rebuilt == identity and rebuilt.to_json() == identity.to_json()
+    values = rebuilt.radicand_entries
+    assert all(v.sign() > 0 for v in values)
+    assert all(a <= b for a, b in zip(values, values[1:]))
+    pairs = rebuilt.rhs_entries
+    assert all(v.sign() > 0 for v, _ in pairs)
+    assert all(a < b or (a == b and s >= t) for (a, s), (b, t) in zip(pairs, pairs[1:]))
+
+
+def test_variation_parse_decomposes_each_literal_once(monkeypatch):
+    # The record holds each of its two surd literals twice.
+    text = surd_family_high(10**12 + 39).to_json()
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return squarefree_decompose(n)
+
+    monkeypatch.setattr("ramid.exact.squarefree_decompose", counted)
+    assert VariationIdentity.from_json(text).to_json() == text
+    assert len(calls) == 2
 
 
 @settings(max_examples=300, deadline=None)
