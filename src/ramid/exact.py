@@ -407,7 +407,7 @@ def parse_surd(text: str) -> Surd:
         raise ValueError(f"not a surd literal: {text!r}")
     text = text.strip()
     if _RATIONAL_RE.match(text):
-        return Surd(parse_rational(text))
+        return Surd._field(parse_rational(text), _ZERO, 0)
     m = _SURD_RE.match(text)
     if not m:
         raise ValueError(f"not a surd literal: {text!r}")

@@ -17,6 +17,10 @@ A variation is stored in canonical form, so equal identities compare and
 serialize equal: each entry is a positive surd (|v| for a radicand entry v,
 which enters as v^2, and (-w, -s) for a right-side pair (w, s) with w < 0, as
 1 + s/w = 1 + (-s)/(-w)); 0 and +-1 are rejected; both lists ascend, "+" first.
+The signs and the order are decided on each entry cleared once to
+v = (a + b sqrt(f))/c with integers a, b and c > 0: v is 0 or 1 when b = 0
+and a is 0 or c, and as c1 c2 > 0, v1 < v2 exactly when
+(a1 c2 - a2 c1) + (b1 c2 - b2 c1) sqrt(f) < 0.
 
 For a tuple the check is made in integers.  Each radicand factor splits as
 1 - 1/v^2 = (1 - 1/v)(1 + 1/v), and the right side s = (1 + 1/x)(1 + 1/y)
@@ -45,7 +49,7 @@ import enum
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, cmp_to_key
 from math import lcm
 from typing import Iterable
 
@@ -57,6 +61,7 @@ from .exact import (
     is_prime,
     parse_rational,
     parse_surd,
+    require_int,
 )
 
 _ONE = Fraction(1)
@@ -167,22 +172,37 @@ def classify(identity: IdentityTuple) -> Classification:
     return Classification.SUPER_PERFECT
 
 
+def _cleared(v: Surd) -> tuple[int, int, int]:
+    # v = (a + b sqrt(d))/c with integers a, b and c > 0.
+    (pn, pd), (qn, qd) = v.p.as_integer_ratio(), v.q.as_integer_ratio()
+    c = lcm(pd, qd)
+    return pn * (c // pd), qn * (c // qd), c
+
+
 def _canonical(
     entries: Iterable[tuple[Surd | int | Fraction, int]], what: str
 ) -> tuple[tuple[Surd, int], ...]:
     # The canonical form of the module docstring; a radicand entry v is (v, +1).
-    out = []
+    out, f = [], 0
     for value, sign in entries:
-        if sign not in (1, -1):
+        if require_int("sign", sign) not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {sign}")
         if not isinstance(value, Surd):
             value = Surd._field(as_rational("entry", value), _ZERO, 0)
-        if value.sign() < 0:
-            value, sign = -value, -sign
-        if not value.q and value.p in (0, 1):
+        f = f or value.d  # a mix of fields is rejected by field_radicand
+        a, b, c = _cleared(value)
+        if _sign(a, b, value.d) < 0:
+            value, sign, a, b = -value, -sign, -a, -b
+        if b == 0 and a in (0, c):
             raise TrivialInputError(f"{what} must not be 0, 1 or -1: {value}")
-        out.append((value, sign))
-    return tuple(sorted(out, key=lambda e: (e[0], -e[1])))
+        out.append((a, b, c, sign, value))
+
+    def order(x: tuple, y: tuple) -> int:
+        (a1, b1, c1, s1, _), (a2, b2, c2, s2, _) = x, y
+        return _sign(a1 * c2 - a2 * c1, b1 * c2 - b2 * c1, f) or s2 - s1
+
+    out.sort(key=cmp_to_key(order))
+    return tuple((value, sign) for *_, sign, value in out)
 
 
 @dataclass(frozen=True)
@@ -254,13 +274,6 @@ class VariationIdentity:
     def from_tuple(cls, identity: IdentityTuple) -> "VariationIdentity":
         x, y, z = identity.x, identity.y, identity.z
         return cls(identity.t, (identity.A, x, y, z), ((x, 1), (y, 1), (z, 1)))
-
-
-def _cleared(v: Surd) -> tuple[int, int, int]:
-    # v = (a + b sqrt(d))/c with integers a, b and c > 0.
-    (pn, pd), (qn, qd) = v.p.as_integer_ratio(), v.q.as_integer_ratio()
-    c = lcm(pd, qd)
-    return pn * (c // pd), qn * (c // qd), c
 
 
 def _times(x: tuple[int, int], y: tuple[int, int], f: int) -> tuple[int, int]:

@@ -238,8 +238,25 @@ def test_variation_rejects_zero_radicand_entry():
 
 
 def test_variation_rejects_mixed_fields():
-    with pytest.raises(IncompatibleFieldError):
-        variation(1, [Surd(0, 1, 2), Surd(0, 1, 3)], [(9, 1)])
+    r2, r3 = Surd(0, 1, 2), Surd(0, 1, 3)
+    for radicand, rhs in [
+        ([r2, r3], [(9, 1)]),
+        ([9], [(r2, 1), (r3, -1)]),  # within the right side only
+        ([1 + r2], [(1 + r3, 1)]),  # radicand in sqrt(2), right side in sqrt(3)
+        ([r2, F(3, 2), r3], [(9, 1)]),  # a rational between the two fields
+    ]:
+        with pytest.raises(IncompatibleFieldError):
+            variation(1, radicand, rhs)
+
+
+def test_variation_orders_near_ties_exactly():
+    # 12071/5000 < 1 + sqrt(2) < 120711/50000, apart by less than 1e-5
+    lo, mid, hi = Surd(F(12071, 5000)), Surd(1, 1, 2), Surd(F(120711, 50000))
+    v = variation(1, [hi, -mid, lo], [(hi, -1), (-mid, 1), (mid, 1), (-lo, -1)])
+    assert v.radicand_entries == (lo, mid, hi) == tuple(sorted([hi, mid, lo]))
+    pairs = [(hi, -1), (mid, -1), (mid, 1), (lo, 1)]
+    assert v.rhs_entries == ((lo, 1), (mid, 1), (mid, -1), (hi, -1))
+    assert v.rhs_entries == tuple(sorted(pairs, key=lambda e: (e[0], -e[1])))
 
 
 def test_variation_canonicalizes_signs_and_order():
@@ -287,11 +304,22 @@ def test_variation_coerces_ints():
 
 @pytest.mark.parametrize(
     "scale, radicand, rhs",
-    [(2.0, (3, 7), ((7, 1),)), (2, (3.0, 7), ((7, 1),)), (2, (3, 7), ((7.0, 1),))],
+    [
+        (2.0, (3, 7), ((7, 1),)),
+        (2, (3.0, 7), ((7, 1),)),
+        (2, (3, 7), ((7.0, 1),)),
+        (2, (3, 7), ((7, 1.0),)),
+        (2, (3, 7), ((7, True),)),
+    ],
 )
 def test_variation_rejects_floats(scale, radicand, rhs):
     with pytest.raises(PreconditionError):
         VariationIdentity(scale=scale, radicand_entries=radicand, rhs_entries=rhs)
+
+
+def test_variation_rejects_an_int_sign_other_than_one():
+    with pytest.raises(ValueError):
+        VariationIdentity(scale=2, radicand_entries=(3, 7), rhs_entries=((7, 2),))
 
 
 def test_verify_dispatches_by_type():
