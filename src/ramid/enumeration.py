@@ -25,6 +25,13 @@ decreases toward z_c = (P+Q)/(P-Q) as A grows, so z >= v with
 v = max(y, floor(z_c)+1) caps A^2 at P(v-1) / (v(P-Q) - (P+Q)).  That bound
 is what makes the scan provably finite for every t, including the small-x
 cells where comparing A with x alone bounds nothing.
+
+Each cell scan completes its candidates to z in place, from the integers it
+already holds: with p = t(x-1)(y-1) and q = (x+1)(y+1), n = (A^2-1)p and
+d = A^2 q, a candidate completes when n > d and n - d divides n + d, and is
+kept when z = (n+d)/(n-d) is at least its least admissible z (y+1 for
+super-perfect cells, y for perfect ones).  ``solve_z`` is the reference for
+this completion.
 """
 
 from __future__ import annotations
@@ -33,13 +40,12 @@ import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
-from itertools import compress
+from itertools import chain, compress
 from math import isqrt
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import Callable, Iterable, TextIO
 
 from .exact import as_rational, is_prime, require_int
-from .errors import PreconditionError
-from .identity import Classification, IdentityTuple, classify
+from .identity import Classification, IdentityTuple, _integer_class, verify_tuple
 
 SUPER_PERFECT_T_VALUES = range(2, 7)
 PERFECT_T_MAX = 36  # (1 + 1/3)(1 + 2)^3, every variable at its minimum 2
@@ -158,17 +164,22 @@ def _super_perfect_cells() -> list[tuple[int, int]]:
     return cells
 
 
-def _scan_super_cell(cell: tuple[int, int]) -> Iterator[tuple[int, ...]]:
-    """Each candidate (t, A, x, y) of the cell, with the least admissible z."""
+def _scan_super_cell(cell: tuple[int, int], hits: list[tuple[int, ...]]) -> int:
+    """Append each completed (t, A, x, y, z) of the cell; return its candidate count."""
     t, A = cell
     xs = super_x_interval(t, A)
     if xs is None:
-        return
+        return 0
+    examined, a2 = 0, A * A
     for x in range(xs[0], xs[1] + 1):
         ys = super_y_interval(t, A, x)
         if ys is not None:
+            examined += ys[1] - ys[0] + 1
             for y in range(ys[0], ys[1] + 1):
-                yield t, A, x, y, y + 1
+                n, d = (a2 - 1) * t * (x - 1) * (y - 1), a2 * (x + 1) * (y + 1)
+                if n > d and (n + d) % (n - d) == 0 and (z := (n + d) // (n - d)) > y:
+                    hits.append((t, A, x, y, z))
+    return examined
 
 
 def _perfect_x_max(t: int) -> int:
@@ -177,6 +188,12 @@ def _perfect_x_max(t: int) -> int:
     while 4 * (x + 2) ** 3 >= 3 * t * x ** 3:  # shifted: test x+1
         x += 1
     return x
+
+
+def _perfect_cells() -> list[tuple[int, int]]:
+    return [
+        (t, x) for t in range(2, PERFECT_T_MAX + 1) for x in range(2, _perfect_x_max(t) + 1)
+    ]
 
 
 def _smallest_a_below(r: Fraction) -> int | None:
@@ -193,18 +210,19 @@ def _smallest_a_below(r: Fraction) -> int | None:
     return max(a, 2)
 
 
-def _scan_perfect_cell(cell: tuple[int, int]) -> Iterator[tuple[int, ...]]:
-    """Each candidate (t, A, x, y) of the cell, with the least admissible z."""
+def _scan_perfect_cell(cell: tuple[int, int], hits: list[tuple[int, ...]]) -> int:
+    """Append each completed (t, A, x, y, z) of the cell; return its candidate count."""
     t, x = cell
     fx = _fx(x)
     if fx >= t:
-        return
+        return 0
     r = Fraction(t) / fx
     a0 = _smallest_a_below(r)
     if a0 is None:
-        return
+        return 0
     m4 = r / _fa(a0)
     y_hi = _largest_y(m4.numerator, m4.denominator, strict=False)
+    examined = 0
     for y in range(x, y_hi + 1):
         p = t * (x - 1) * (y - 1)
         q = (x + 1) * (y + 1)
@@ -212,37 +230,33 @@ def _scan_perfect_cell(cell: tuple[int, int]) -> Iterator[tuple[int, ...]]:
             continue
         v = max(y, (p + q) // (p - q) + 1)
         den = v * (p - q) - (p + q)
-        a_cap_sq = p * (v - 1) // den
-        for A in range(2, isqrt(a_cap_sq) + 1):
-            yield t, A, x, y, y
+        a_max = isqrt(p * (v - 1) // den)
+        examined += a_max - 1  # a_max >= 1, as p(v-1) >= den
+        for A in range(2, a_max + 1):
+            n, d = (A * A - 1) * p, A * A * q
+            if n > d and (n + d) % (n - d) == 0 and (z := (n + d) // (n - d)) >= y:
+                hits.append((t, A, x, y, z))
+    return examined
 
 
 def _run_cells(
     cells: Iterable[tuple[int, int]],
-    scan: Callable[[tuple[int, int]], Iterator[tuple[int, ...]]],
+    scan: Callable[[tuple[int, int], list[tuple[int, ...]]], int],
 ) -> EnumerationReport:
-    """Complete every candidate of every cell to z, then dedup and sort the
-    integer tuples and build, verify and classify each identity once."""
+    """Scan every cell for completed integer tuples, then dedup and sort them
+    and build, verify and tag each identity once."""
     start = time.perf_counter()
-    found: set[tuple[int, ...]] = set()
-    examined = 0
-    for cell in cells:
-        for t, A, x, y, z_min in scan(cell):
-            examined += 1
-            z = solve_z(t, A, x, y)
-            if z is not None and z >= z_min:
-                found.add((t, A, x, y, z))
-    identities = tuple(IdentityTuple(*map(Fraction, v)) for v in sorted(found))
-    tags = []
+    hits: list[tuple[int, ...]] = []
+    examined = sum(scan(cell, hits) for cell in cells)
+    found = sorted(set(hits))
+    fraction_of = {n: Fraction(n) for n in set(chain.from_iterable(found))}
+    identities = tuple(IdentityTuple(*map(fraction_of.__getitem__, v)) for v in found)
     for identity in identities:
-        try:
-            tags.append(classify(identity))  # verifies it first
-        except PreconditionError:
-            raise AssertionError(
-                f"enumerated tuple fails to verify: {identity}"
-            ) from None
+        if not verify_tuple(identity):
+            raise AssertionError(f"enumerated tuple fails to verify: {identity}")
+    tags = tuple(_integer_class(*v) for v in found)
     elapsed = time.perf_counter() - start
-    return EnumerationReport(identities, examined, elapsed, tuple(tags))
+    return EnumerationReport(identities, examined, elapsed, tags)
 
 
 def enumerate_super_perfect() -> EnumerationReport:
@@ -253,12 +267,7 @@ def enumerate_super_perfect() -> EnumerationReport:
 def enumerate_perfect() -> EnumerationReport:
     """All identities with positive integer entries > 1, normalized to
     x <= y <= z (A unordered relative to x)."""
-    cells = [
-        (t, x)
-        for t in range(2, PERFECT_T_MAX + 1)
-        for x in range(2, _perfect_x_max(t) + 1)
-    ]
-    return _run_cells(cells, _scan_perfect_cell)
+    return _run_cells(_perfect_cells(), _scan_perfect_cell)
 
 
 def prime_filter(report: EnumerationReport) -> EnumerationReport:

@@ -125,7 +125,13 @@ class IdentityTuple:
         return d
 
     def to_json(self, classification: Classification | None = None) -> str:
-        return json.dumps(self.to_json_dict(classification))
+        # json.dumps(self.to_json_dict(classification)), byte for byte: a
+        # Fraction prints as digits, "-" and "/", and the tags are plain ASCII.
+        tag = "" if classification is None else f', "class": "{classification.value}"'
+        return (
+            f'{{"t": "{self.t}", "A": "{self.A}", "x": "{self.x}", '
+            f'"y": "{self.y}", "z": "{self.z}"{tag}}}'
+        )
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "IdentityTuple":
@@ -161,7 +167,11 @@ def classify(identity: IdentityTuple) -> Classification:
     values = (identity.t, identity.A, identity.x, identity.y, identity.z)
     if any(v.denominator != 1 for v in values):
         return Classification.NONTRIVIAL_RATIONAL
-    t, A, x, y, z = (v.numerator for v in values)
+    return _integer_class(*(v.numerator for v in values))
+
+
+def _integer_class(t: int, A: int, x: int, y: int, z: int) -> Classification:
+    # classify's tag for an integer tuple that verifies.
     if min(t, A, x, y, z) < 2:
         return Classification.GENERAL
     x, y, z = sorted((x, y, z))

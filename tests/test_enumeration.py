@@ -3,6 +3,7 @@
 import hashlib
 import io
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -22,7 +23,12 @@ from ramid import (
 )
 from ramid.enumeration import (
     SUPER_PERFECT_T_VALUES,
+    _largest_y,
+    _perfect_cells,
     _run_cells,
+    _scan_perfect_cell,
+    _scan_super_cell,
+    _smallest_a_below,
     _super_perfect_cells,
     super_x_interval,
     super_y_interval,
@@ -163,7 +169,8 @@ def test_prime_filter_empty_report():
 
 
 def test_enumeration_classifies_each_tuple_once(monkeypatch):
-    # classify looks verify_tuple up in ramid.identity: every call is counted.
+    # enumeration calls verify_tuple by its own name and classify looks it up
+    # in ramid.identity: both are counted.
     calls = []
 
     def counted(identity):
@@ -171,6 +178,7 @@ def test_enumeration_classifies_each_tuple_once(monkeypatch):
         return verify_tuple(identity)
 
     monkeypatch.setattr("ramid.identity.verify_tuple", counted)
+    monkeypatch.setattr("ramid.enumeration.verify_tuple", counted)
     report = enumerate_super_perfect()
     report.write_jsonl(io.StringIO())
     primes = prime_filter(report)
@@ -183,10 +191,59 @@ def test_enumeration_classifies_each_tuple_once(monkeypatch):
         EnumerationReport(report.identities, 0, 0.0).write_jsonl(io.StringIO())
 
 
-def test_enumeration_names_a_tuple_that_fails_to_verify(monkeypatch):
-    monkeypatch.setattr("ramid.enumeration.solve_z", lambda t, A, x, y: 20)
+def test_enumeration_names_a_tuple_that_fails_to_verify():
+    def scan(cell, hits):
+        hits.append((2, 3, 7, 11, 20))
+        return 1
+
     with pytest.raises(AssertionError, match=r"fails to verify: .*z=Fraction\(20, 1\)"):
-        _run_cells([(2, 3)], lambda cell: iter([(2, 3, 7, 11, 19)]))
+        _run_cells([(2, 3)], scan)
+
+
+def _super_candidates(cell):
+    # Each (t, A, x, y) of a super-perfect cell, with its least admissible z.
+    t, A = cell
+    xs = super_x_interval(t, A)
+    for x in range(xs[0], xs[1] + 1) if xs else ():
+        ys = super_y_interval(t, A, x)
+        for y in range(ys[0], ys[1] + 1) if ys else ():
+            yield t, A, x, y, y + 1
+
+
+def _perfect_candidates(cell):
+    # Each (t, A, x, y) of a perfect cell under the A cap of the module
+    # docstring, with its least admissible z.
+    t, x = cell
+    r = F(t) / F(x + 1, x - 1)
+    a0 = _smallest_a_below(r)
+    if a0 is None:
+        return
+    m4 = r / F(a0 * a0, a0 * a0 - 1)
+    for y in range(x, _largest_y(m4.numerator, m4.denominator, strict=False) + 1):
+        p, q = t * (x - 1) * (y - 1), (x + 1) * (y + 1)
+        if p > q:
+            v = max(y, (p + q) // (p - q) + 1)
+            for A in range(2, isqrt(p * (v - 1) // (v * (p - q) - (p + q))) + 1):
+                yield t, A, x, y, y
+
+
+def test_cell_scans_keep_what_solve_z_keeps():
+    for cells, scan, candidates, total in [
+        (_super_perfect_cells(), _scan_super_cell, _super_candidates, 100),
+        (_perfect_cells(), _scan_perfect_cell, _perfect_candidates, 1527),
+    ]:
+        examined = 0
+        for cell in cells:
+            hits, expected = [], []
+            count = scan(cell, hits)
+            reference = list(candidates(cell))
+            for t, A, x, y, z_min in reference:
+                z = solve_z(t, A, x, y)
+                if z is not None and z >= z_min:
+                    expected.append((t, A, x, y, z))
+            assert (count, hits) == (len(reference), expected), cell
+            examined += count
+        assert examined == total
 
 
 def test_prime_filter_drops_composites(super_perfect_report):

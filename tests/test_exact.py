@@ -102,9 +102,28 @@ def _squarefree_decompose_reference(n):
     return f, s
 
 
+def _squarefree_table(limit):
+    # (f, s) with n = f s^2 and f squarefree for every n <= limit, from a
+    # smallest-prime-factor sieve: n = p m with m = f s^2 gives (f/p, s p)
+    # when p divides f, else (f p, s).
+    spf = list(range(limit + 1))
+    for p in range(2, isqrt(limit) + 1):
+        if spf[p] == p:
+            for m in range(p * p, limit + 1, p):
+                if spf[m] == m:
+                    spf[m] = p
+    table = [(0, 1), (1, 1)]
+    for n in range(2, limit + 1):
+        p = spf[n]
+        f, s = table[n // p]
+        table.append((f // p, s * p) if f % p == 0 else (f * p, s))
+    return table
+
+
 def test_squarefree_decompose_matches_the_reference_below_10_5():
+    table = _squarefree_table(10**5)
     for n in range(10**5 + 1):
-        assert squarefree_decompose(n) == _squarefree_decompose_reference(n), n
+        assert squarefree_decompose(n) == table[n], n
 
 
 def test_squarefree_decompose_matches_the_reference_up_to_16_digits():

@@ -1,6 +1,7 @@
 """Verifier, classifier and the variation data model."""
 
 import itertools
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -194,6 +195,14 @@ def test_tuple_json_round_trip():
     assert again == identity
     tagged = tup(2, 3, 7, 11, 19).to_json(Classification.PRIME)
     assert '"class": "prime"' in tagged
+
+
+@settings(max_examples=300, deadline=None)
+@given(signed_tuples(), st.sampled_from([None, *Classification]))
+def test_tuple_to_json_is_json_dumps_of_its_dict(identity, classification):
+    assert identity.to_json(classification) == json.dumps(
+        identity.to_json_dict(classification)
+    )
 
 
 def variation(scale, radicand, rhs) -> VariationIdentity:
