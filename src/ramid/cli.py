@@ -154,7 +154,7 @@ def _parse_identity_json(line: str) -> IdentityTuple | VariationIdentity:
         if "radicand" in data:
             return VariationIdentity.from_json_dict(data)
         return IdentityTuple.from_json_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise RamidError(f"not an identity record ({exc!r}): {line}") from None
 
 

@@ -5,26 +5,36 @@ For positive integers the identity is equivalent to the product equation
     t = (1 + 1/(A^2-1)) (1 + 2/(x-1)) (1 + 2/(y-1)) (1 + 2/(z-1)),
 
 so z has the closed form z = (N+D)/(N-D) with N = t(A^2-1)(x-1)(y-1) and
-D = A^2(x+1)(y+1), and never needs to be looped.  All interval endpoints are
-decided by exact integer comparisons.
+D = A^2(x+1)(y+1), and never needs to be looped.  Below, F_A = A^2/(A^2-1)
+and F_n = (n+1)/(n-1) for n = x, y, z; each factor exceeds 1 and falls
+toward 1 as its variable grows.
 
 Super-perfect search (t < A < x < y < z): t runs over 2..6, and for each
 admissible (t, A) the x interval satisfies
 
-    (1 + 1/(A^2-1)) (1 + 2/(x-1))^3 >= t      (upper end; y, z factors are
-                                               each smaller than the x one)
-    (1 + 1/(A^2-1)) (1 + 2/(x-1))    < t      (lower end; y, z factors are
-                                               each > 1)
+    F_A F_x^3 >= t      (upper end; the y and z factors are each below F_x)
+    F_A F_x    < t      (lower end; the y and z factors each exceed 1)
 
-and analogously for y given m = t / ((1 + 1/(A^2-1))(1 + 2/(x-1))):
-(1 + 2/(y-1)) < m and (1 + 2/(y-1))^2 > m.
+and analogously for y given m = t / (F_A F_x) = mn/md:  F_y < m and
+F_y^2 > m.  A runs up from t+1 while x = A+1 still passes the upper bound.
 
-Perfect search (x <= y <= z, A unordered, t <= 36): for fixed (t, x, y) put
-P = t(x-1)(y-1) and Q = (x+1)(y+1).  Solutions need P > Q, and z(A) strictly
-decreases toward z_c = (P+Q)/(P-Q) as A grows, so z >= v with
-v = max(y, floor(z_c)+1) caps A^2 at P(v-1) / (v(P-Q) - (P+Q)).  That bound
-is what makes the scan provably finite for every t, including the small-x
-cells where comparing A with x alone bounds nothing.
+Perfect search (x <= y <= z, A unordered, t <= 36): x runs up from 2 while
+(4/3) F_x^3 >= t, as F_A <= 4/3.  With r = t / F_x = rn/rd, a0 is the least
+A with F_A < r, and y runs up from x while F_y^2 >= r / F_a0 = mn/md.  For
+fixed (t, x, y) put P = t(x-1)(y-1) and Q = (x+1)(y+1).  Solutions need
+P > Q, and z(A) strictly decreases toward z_c = (P+Q)/(P-Q) as A grows, so
+z >= v with v = max(y, floor(z_c)+1) caps A^2 at
+P(v-1) / (v(P-Q) - (P+Q)).  That bound is what makes the scan provably
+finite for every t, including the small-x cells where comparing A with x
+alone bounds nothing.
+
+All interval ends are decided by exact integer comparisons: each ratio is
+kept as an unreduced pair of ints, and each upper end (and a0 - 1) is found
+by one search, ``_last``, that steps n up while an integer predicate holds.
+Every predicate compares a quantity that falls in n with a bound that its
+limit lies below, so every search ends: F_A F_x^3 falls toward F_A <= 4/3,
+F_A F_(A+1)^3 toward 1 and (4/3) F_x^3 toward 4/3, all below t >= 2; F_y^2
+falls toward 1 < mn/md, and F_A toward 1 < rn/rd.
 
 Each cell scan completes its candidates to z in place, from the integers it
 already holds: with p = t(x-1)(y-1) and q = (x+1)(y+1), n = (A^2-1)p and
@@ -95,73 +105,44 @@ def solve_z(t: Fraction | int, A: int, x: int, y: int) -> int | None:
     return z if z >= 2 else None
 
 
-def _fa(A: int) -> Fraction:
-    return Fraction(A * A, A * A - 1)
-
-
-def _fx(x: int) -> Fraction:
-    return Fraction(x + 1, x - 1)
+def _last(holds: Callable[[int], bool], lo: int) -> int:
+    """Largest n >= lo with holds(n), or lo - 1 when holds(lo) is false.
+    holds must be true on a run of integers from lo and false after it."""
+    while holds(lo):
+        lo += 1
+    return lo - 1
 
 
 def _cubic_holds(t: int, A: int, x: int) -> bool:
-    # (1 + 1/(A^2-1)) (1 + 2/(x-1))^3 >= t
+    # F_A F_x^3 >= t
     return A * A * (x + 1) ** 3 >= t * (A * A - 1) * (x - 1) ** 3
 
 
 def super_x_interval(t: int, A: int) -> tuple[int, int] | None:
     """Admissible x for the super-perfect cell (t, A), or None if empty."""
     c = t * (A * A - 1) - A * A
-    lower = (t * (A * A - 1) + A * A) // c + 1
-    lo = max(A + 1, lower)
-    if not _cubic_holds(t, A, lo):
-        return None
-    hi = lo
-    while _cubic_holds(t, A, hi + 1):
-        hi += 1
-    return lo, hi
-
-
-def _largest_y(mn: int, md: int, strict: bool) -> int:
-    # Largest y with (y+1)^2 * md > (y-1)^2 * mn (or >= when strict=False);
-    # requires mn > md.  y < 2(mn+md)/(mn-md) is a safe cap.
-    def holds(y: int) -> bool:
-        lhs, rhs = (y + 1) ** 2 * md, (y - 1) ** 2 * mn
-        return lhs > rhs if strict else lhs >= rhs
-
-    lo, hi = 2, 2 * (mn + md) // (mn - md) + 2
-    if not holds(lo):
-        return lo - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if holds(mid):
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+    lo = max(A + 1, (t * (A * A - 1) + A * A) // c + 1)
+    hi = _last(lambda x: _cubic_holds(t, A, x), lo)
+    return (lo, hi) if lo <= hi else None
 
 
 def super_y_interval(t: int, A: int, x: int) -> tuple[int, int] | None:
     """Admissible y for the super-perfect cell (t, A, x), or None if empty."""
-    m = Fraction(t) / (_fa(A) * _fx(x))
-    if m <= 1:
+    mn, md = t * (A * A - 1) * (x - 1), A * A * (x + 1)  # m = mn / md
+    if mn <= md:
         return None
-    mn, md = m.numerator, m.denominator
     lo = max(x + 1, (mn + md) // (mn - md) + 1)
-    hi = _largest_y(mn, md, strict=True)
-    if lo > hi:
-        return None
-    return lo, hi
+    hi = _last(lambda y: (y + 1) ** 2 * md > (y - 1) ** 2 * mn, lo)
+    return (lo, hi) if lo <= hi else None
 
 
 def _super_perfect_cells() -> list[tuple[int, int]]:
-    cells = []
-    for t in SUPER_PERFECT_T_VALUES:
-        A = t + 1
-        # Once even x = A+1 fails the cubic bound, larger A only gets worse.
-        while _cubic_holds(t, A, A + 1):
-            cells.append((t, A))
-            A += 1
-    return cells
+    # Once even x = A+1 fails the cubic bound, larger A only gets worse.
+    return [
+        (t, A)
+        for t in SUPER_PERFECT_T_VALUES
+        for A in range(t + 1, _last(lambda A: _cubic_holds(t, A, A + 1), t + 1) + 1)
+    ]
 
 
 def _scan_super_cell(cell: tuple[int, int], hits: list[tuple[int, ...]]) -> int:
@@ -182,46 +163,23 @@ def _scan_super_cell(cell: tuple[int, int], hits: list[tuple[int, ...]]) -> int:
     return examined
 
 
-def _perfect_x_max(t: int) -> int:
-    # Largest x with (4/3)(1 + 2/(x-1))^3 >= t; F_A <= 4/3 for every A >= 2.
-    x = 2
-    while 4 * (x + 2) ** 3 >= 3 * t * x ** 3:  # shifted: test x+1
-        x += 1
-    return x
-
-
 def _perfect_cells() -> list[tuple[int, int]]:
     return [
-        (t, x) for t in range(2, PERFECT_T_MAX + 1) for x in range(2, _perfect_x_max(t) + 1)
+        (t, x)
+        for t in range(2, PERFECT_T_MAX + 1)
+        for x in range(2, _last(lambda x: 4 * (x + 1) ** 3 >= 3 * t * (x - 1) ** 3, 2) + 1)
     ]
-
-
-def _smallest_a_below(r: Fraction) -> int | None:
-    # Smallest A >= 2 with A^2/(A^2-1) < r; None when r <= 1.
-    if r <= 1:
-        return None
-    rn, rd = r.numerator, r.denominator
-    if 4 * rd < 3 * rn:  # A = 2 already qualifies
-        return 2
-    # A^2 (rn - rd) > rn
-    a = isqrt(rn // (rn - rd)) + 1
-    while a * a * (rn - rd) <= rn:
-        a += 1
-    return max(a, 2)
 
 
 def _scan_perfect_cell(cell: tuple[int, int], hits: list[tuple[int, ...]]) -> int:
     """Append each completed (t, A, x, y, z) of the cell; return its candidate count."""
     t, x = cell
-    fx = _fx(x)
-    if fx >= t:
+    rn, rd = t * (x - 1), x + 1  # r = t / F_x = rn / rd
+    if rn <= rd:
         return 0
-    r = Fraction(t) / fx
-    a0 = _smallest_a_below(r)
-    if a0 is None:
-        return 0
-    m4 = r / _fa(a0)
-    y_hi = _largest_y(m4.numerator, m4.denominator, strict=False)
+    a0 = _last(lambda A: A * A * (rn - rd) <= rn, 1) + 1
+    mn, md = rn * (a0 * a0 - 1), rd * a0 * a0  # r / F_a0 = mn / md
+    y_hi = _last(lambda y: (y + 1) ** 2 * md >= (y - 1) ** 2 * mn, x)
     examined = 0
     for y in range(x, y_hi + 1):
         p = t * (x - 1) * (y - 1)

@@ -40,9 +40,10 @@ def test_render_round_trips_a_tuple(monkeypatch, capsys):
         '{"radicand": ["3", "7"], "rhs": [["7", "x"]]}',  # sign not + or -
         json.dumps({**NOTEBOOK, "t": "1/0"}),  # zero denominator in a tuple
         '{"radicand": ["1 + 1/0*sqrt(2)", "7"], "rhs": [["7", "+"]]}',  # in a surd
+        "[" * 100000 + "]" * 100000,  # nested past the JSON decoder's recursion limit
     ],
     ids=["no-z", "int-t", "list", "rhs-1", "rhs-item-int", "rhs-int", "rhs-str", "rhs-sign",
-         "tuple-zero-den", "surd-zero-den"],
+         "tuple-zero-den", "surd-zero-den", "deep-nesting"],
 )
 def test_render_reports_malformed_records(monkeypatch, capsys, line):
     assert render(monkeypatch, line) == EXIT_USAGE

@@ -3,6 +3,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from itertools import permutations
 from math import isqrt
 
 import pytest
@@ -198,6 +199,21 @@ def test_recover_k_rejects_non_identity():
 
 def test_recover_k_search_identity():
     assert recover_k(IdentityTuple(F(15, 16), F(2), F(9), F(17), F(-3))) == -8
+
+
+def test_construction_loses_no_perfect_identity(perfect_report):
+    # Whichever entry of a perfect tuple is taken for z, recover_k finds a k
+    # whose construction from (t, A, z) gives back the other two entries.
+    cases = 0
+    for identity in perfect_report.identities:
+        t, A = identity.t, identity.A
+        for x, y, z in permutations((identity.x, identity.y, identity.z)):
+            k = recover_k(IdentityTuple(t, A, x, y, z))
+            assert k is not None, (identity, z)
+            rebuilt = build_tuple(t, A, z, k).identity()
+            assert rebuilt == IdentityTuple(t, A, min(x, y), max(x, y), z), (identity, z)
+            cases += 1
+    assert cases == 6 * 309
 
 
 def test_z_minus_one_unrepresentable():

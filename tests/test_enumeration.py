@@ -23,12 +23,11 @@ from ramid import (
 )
 from ramid.enumeration import (
     SUPER_PERFECT_T_VALUES,
-    _largest_y,
+    _last,
     _perfect_cells,
     _run_cells,
     _scan_perfect_cell,
     _scan_super_cell,
-    _smallest_a_below,
     _super_perfect_cells,
     super_x_interval,
     super_y_interval,
@@ -80,18 +79,28 @@ def test_solve_z_round_trips_with_verifier():
                     ), (A, x, y, z)
 
 
+@pytest.mark.parametrize("end, lo", [(5, 0), (5, 5), (5, 6), (5, 9), (-2, -4)])
+def test_last_finds_the_end_of_a_run(end, lo):
+    # lo - 1 when the predicate already fails at lo
+    assert _last(lambda n: n <= end, lo) == max(end, lo - 1)
+
+
 def test_x_interval_invariants():
-    # every admissible (t, A, x) satisfies F_A * F_x^3 >= t and F_A * F_x < t
+    # every admissible (t, A, x) satisfies F_A * F_x^3 >= t and F_A * F_x < t,
+    # x = hi+1 fails the first and x = lo-1 is A or fails the second
+    fx = lambda x: F(x + 1, x - 1)
     for t, A in _super_perfect_cells():
         interval = super_x_interval(t, A)
         if interval is None:
             continue
+        lo, hi = interval
         fa = F(A * A, A * A - 1)
-        for x in range(interval[0], interval[1] + 1):
-            fx = F(x + 1, x - 1)
-            assert fa * fx**3 >= t
-            assert fa * fx < t
+        for x in range(lo, hi + 1):
+            assert fa * fx(x) ** 3 >= t
+            assert fa * fx(x) < t
             assert x > A
+        assert fa * fx(hi + 1) ** 3 < t
+        assert lo - 1 == A or fa * fx(lo - 1) >= t
 
 
 def test_x_interval_t2_a3():
@@ -212,19 +221,24 @@ def _super_candidates(cell):
 
 def _perfect_candidates(cell):
     # Each (t, A, x, y) of a perfect cell under the A cap of the module
-    # docstring, with its least admissible z.
+    # docstring, with its least admissible z.  a0 and the y bound come from
+    # linear Fraction comparisons, independent of the scan's integer search.
     t, x = cell
     r = F(t) / F(x + 1, x - 1)
-    a0 = _smallest_a_below(r)
-    if a0 is None:
+    if r <= 1:
         return
+    a0 = 2
+    while F(a0 * a0, a0 * a0 - 1) >= r:
+        a0 += 1
     m4 = r / F(a0 * a0, a0 * a0 - 1)
-    for y in range(x, _largest_y(m4.numerator, m4.denominator, strict=False) + 1):
+    y = x
+    while F(y + 1, y - 1) ** 2 >= m4:
         p, q = t * (x - 1) * (y - 1), (x + 1) * (y + 1)
         if p > q:
             v = max(y, (p + q) // (p - q) + 1)
             for A in range(2, isqrt(p * (v - 1) // (v * (p - q) - (p + q))) + 1):
                 yield t, A, x, y, y
+        y += 1
 
 
 def test_cell_scans_keep_what_solve_z_keeps():
@@ -253,7 +267,13 @@ def test_prime_filter_drops_composites(super_perfect_report):
 
 
 def test_perfect_superset_of_super_perfect(super_perfect_report, perfect_report):
-    assert set(super_perfect_report.identities) <= set(perfect_report.identities)
+    # The two cell geometries agree: the super-perfect report is exactly the
+    # perfect tuples tagged super-perfect or prime, tags included.
+    super_tags = (Classification.SUPER_PERFECT, Classification.PRIME)
+    tagged = zip(perfect_report.identities, perfect_report.tags, strict=True)
+    expected = [(identity, tag) for identity, tag in tagged if tag in super_tags]
+    assert len(expected) == 39
+    assert list(zip(super_perfect_report.identities, super_perfect_report.tags)) == expected
 
 
 def test_perfect_all_verify_and_are_perfect(perfect_report):
