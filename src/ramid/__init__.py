@@ -7,7 +7,6 @@ from .construct import (
     ConstructionResult,
     RootPair,
     build_tuple,
-    rational_identity,
     recover_k,
     solve_roots,
 )

@@ -146,6 +146,10 @@ def _to_json(identity: IdentityTuple | VariationIdentity, verified: bool) -> str
     return identity.to_json()
 
 
+def _clip(text: str) -> str:
+    return text if len(text) <= 120 else text[:120] + "..."
+
+
 def _parse_identity_json(line: str) -> IdentityTuple | VariationIdentity:
     try:
         data = json.loads(line)
@@ -155,7 +159,8 @@ def _parse_identity_json(line: str) -> IdentityTuple | VariationIdentity:
             return VariationIdentity.from_json_dict(data)
         return IdentityTuple.from_json_dict(data)
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
-        raise RamidError(f"not an identity record ({exc!r}): {line}") from None
+        # A bad record may be huge, and the error's repr may repeat it.
+        raise RamidError(f"not an identity record ({_clip(repr(exc))}): {_clip(line)}") from None
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
@@ -171,7 +176,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
         else:
             ok = verify(identity)
             if not ok and not args.unchecked:
-                raise PreconditionError(f"identity does not verify: {line}")
+                raise PreconditionError(f"identity does not verify: {_clip(line)}")
             print(_to_json(identity, ok))
     return EXIT_OK
 

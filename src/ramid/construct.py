@@ -27,8 +27,8 @@ N = (pM/q)^2, and an integer that is the square of a rational is the square
 of an integer.  So the roots are rational exactly when N >= 0 is a perfect
 square, and then x, y = (G -+ isqrt(N)) / (2M).  The condition flags are
 B != 0, M - G + B != 0 (1 is not a root) and M + G + B != 0 (-1 is not a
-root).  ``rational_identity`` uses this to reject irrational draws without
-building the surd roots that ``build_tuple`` reports.
+root).  ``families.discover`` uses this N test to reject irrational draws
+without building the surd roots that ``build_tuple`` reports.
 
 ``solve_roots`` reads its roots from N by the same argument, after clearing
 gamma and beta to G/M and B/M with M the lcm of their denominators: none when
@@ -116,25 +116,12 @@ class ConstructionResult:
         return json.dumps(self.to_json_dict())
 
 
-def _exact_inputs(
-    t: int | Fraction, A: int | Fraction, z: int | Fraction, k: int | Fraction
-) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    t, A = as_rational("t", t), as_rational("A", A)
-    z, k = as_rational("z", z), as_rational("k", k)
-    if t == 0:
-        raise TrivialInputError("t must be nonzero")
-    if k == 0:
-        raise TrivialInputError("k must be nonzero")
-    _check_nontrivial("A", A)
-    _check_nontrivial("z", z)
-    return t, A, z, k
-
-
 def _cleared(
-    t: Fraction, A: Fraction, z: Fraction, k: Fraction
+    t: int | Fraction, A: int | Fraction, z: int | Fraction, k: int | Fraction
 ) -> tuple[int, int, int, int]:
     """(G, B, M, N) of the module docstring: gamma = G/M, beta = B/M, M > 0
-    and discriminant N/M^2."""
+    and discriminant N/M^2.  Only numerators and denominators are read, so
+    ints are accepted as they are; the inputs are not checked."""
     tn, td = t.numerator, t.denominator
     an2, ad2 = A.numerator**2, A.denominator**2
     zn, zd = z.numerator, z.denominator
@@ -169,7 +156,14 @@ def solve_roots(gamma: Fraction, beta: Fraction) -> RootPair:
 def build_tuple(
     t: int | Fraction, A: int | Fraction, z: int | Fraction, k: int | Fraction
 ) -> ConstructionResult:
-    t, A, z, k = _exact_inputs(t, A, z, k)
+    t, A = as_rational("t", t), as_rational("A", A)
+    z, k = as_rational("z", z), as_rational("k", k)
+    if t == 0:
+        raise TrivialInputError("t must be nonzero")
+    if k == 0:
+        raise TrivialInputError("k must be nonzero")
+    _check_nontrivial("A", A)
+    _check_nontrivial("z", z)
     g, b, m, n = _cleared(t, A, z, k)
     gamma, beta = Fraction(g, m), Fraction(b, m)
     conditions = ConditionReport(
@@ -181,20 +175,6 @@ def build_tuple(
     roots = solve_roots(gamma, beta)
     disc = Fraction(n, m * m)
     return ConstructionResult(t, A, z, k, gamma, beta, disc, roots, conditions)
-
-
-def rational_identity(
-    t: int | Fraction, A: int | Fraction, z: int | Fraction, k: int | Fraction
-) -> IdentityTuple | None:
-    """``build_tuple(t, A, z, k).identity()``, except that constructions whose
-    roots are not rational are rejected in integers first, without building
-    their surd roots.  The rest (a few percent of ``discover``'s draws) go
-    through ``build_tuple``, the one place that orders and assembles roots."""
-    t, A, z, k = _exact_inputs(t, A, z, k)
-    n = _cleared(t, A, z, k)[3]
-    if n < 0 or isqrt(n) ** 2 != n:
-        return None
-    return build_tuple(t, A, z, k).identity()
 
 
 def recover_k(identity: IdentityTuple) -> Fraction | None:

@@ -15,8 +15,9 @@ from __future__ import annotations
 import functools
 import random
 from fractions import Fraction
+from math import isqrt
 
-from .construct import rational_identity
+from .construct import _cleared, build_tuple
 from .errors import ConfigurationError, FamilyDomainError, TrivialInputError
 from .exact import Surd, as_rational, require_int
 from .identity import IdentityTuple, VariationIdentity, verify_tuple
@@ -81,15 +82,19 @@ def long_identity(b: int, n: int) -> VariationIdentity:
     _reject(n < 1, f"n must be an integer >= 1 (got {n})")
     a = 2 - b * b
     tail = 2 * a + 2 * n - 1
-    radicand = [2 * b + 1, 2 * b - 1, tail] + [a - 1 + i for i in range(n + 1)]
     return VariationIdentity(
-        scale=Fraction(1),
-        radicand_entries=tuple(Surd(v) for v in radicand),
-        rhs_entries=(
-            (Surd(2 * b + 1), -1),
-            (Surd(2 * b - 1), 1),
-            (Surd(tail), 1),
-        ),
+        radicand_entries=(2 * b + 1, 2 * b - 1, tail, *range(a - 1, a + n)),
+        rhs_entries=((2 * b + 1, -1), (2 * b - 1, 1), (tail, 1)),
+    )
+
+
+def _surd_family(a: Fraction, r: Fraction, sign: int) -> VariationIdentity:
+    # s = sqrt(r); ``sign`` is the right-side sign of 2s+1, and 2s-1 takes the other.
+    s = Surd.sqrt_rational(r)
+    plus, minus = 2 * s + 1, 2 * s - 1
+    return VariationIdentity(
+        radicand_entries=(a, a - 1, 2 * a + 1, plus, minus),
+        rhs_entries=((2 * a + 1, 1), (plus, sign), (minus, -sign)),
     )
 
 
@@ -98,14 +103,7 @@ def surd_family_high(a: Fraction) -> VariationIdentity:
     """Identity over Q(sqrt(a-1)) for a >= 3; all-rational when a-1 is a square."""
     a = as_rational("a", a)
     _reject(a < 3, f"a must be >= 3 (got {a})")
-    s = Surd.sqrt_rational(a - 1)
-    plus = Surd(1) + 2 * s
-    minus = 2 * s - Surd(1)
-    return VariationIdentity(
-        scale=Fraction(1),
-        radicand_entries=(Surd(a), Surd(a - 1), Surd(2 * a + 1), plus, minus),
-        rhs_entries=((Surd(2 * a + 1), 1), (plus, 1), (minus, -1)),
-    )
+    return _surd_family(a, a - 1, 1)
 
 
 @_family
@@ -113,14 +111,7 @@ def surd_family_low(a: Fraction) -> VariationIdentity:
     """Identity over Q(sqrt(2-a)) for a <= 1 outside {1, 0, -1/2, -1}."""
     a = as_rational("a", a)
     _reject(a > 1, f"a must be <= 1 (got {a})")
-    s = Surd.sqrt_rational(2 - a)
-    plus = 2 * s + Surd(1)
-    minus = 2 * s - Surd(1)
-    return VariationIdentity(
-        scale=Fraction(1),
-        radicand_entries=(Surd(a), Surd(a - 1), Surd(2 * a + 1), plus, minus),
-        rhs_entries=((plus, -1), (minus, 1), (Surd(2 * a + 1), 1)),
-    )
+    return _surd_family(a, 2 - a, -1)
 
 
 def normalize_tuple(identity: IdentityTuple) -> IdentityTuple:
@@ -144,8 +135,8 @@ def discover(
     k is drawn as 1/m or p/m with 1 <= m <= k_den_max and |p| <= k_den_max.
     Keeps constructions with rational roots, all condition flags true and a
     verifying tuple; results are normalized, deduplicated and sorted.  Draws
-    whose roots are irrational (most of them) are rejected in integers by
-    ``rational_identity``, without building their surd roots.
+    whose roots are irrational (most of them) fail the integer test of
+    ``construct`` (its N is negative or not a square) and are never built.
     """
     if require_int("trials", trials) <= 0:
         raise ConfigurationError(f"trials must be positive (got {trials})")
@@ -177,7 +168,10 @@ def discover(
             if p == 0:
                 continue
             k = Fraction(p, m)
-        candidate = rational_identity(t, A, z, k)
+        n = _cleared(t, A, z, k)[3]
+        if n < 0 or isqrt(n) ** 2 != n:
+            continue
+        candidate = build_tuple(t, A, z, k).identity()
         if candidate is not None and verify_tuple(candidate):
             found.add(normalize_tuple(candidate))
     return sorted(found)

@@ -41,14 +41,23 @@ def test_render_round_trips_a_tuple(monkeypatch, capsys):
         json.dumps({**NOTEBOOK, "t": "1/0"}),  # zero denominator in a tuple
         '{"radicand": ["1 + 1/0*sqrt(2)", "7"], "rhs": [["7", "+"]]}',  # in a surd
         "[" * 100000 + "]" * 100000,  # nested past the JSON decoder's recursion limit
+        json.dumps({**NOTEBOOK, "t": "x" * 100000}),  # a long literal, repeated in the error
     ],
     ids=["no-z", "int-t", "list", "rhs-1", "rhs-item-int", "rhs-int", "rhs-str", "rhs-sign",
-         "tuple-zero-den", "surd-zero-den", "deep-nesting"],
+         "tuple-zero-den", "surd-zero-den", "deep-nesting", "long-literal"],
 )
 def test_render_reports_malformed_records(monkeypatch, capsys, line):
     assert render(monkeypatch, line) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("ramid: not an identity record") and "Traceback" not in err
+    assert len(err.encode()) < 1000
+
+
+def test_render_clips_a_false_record(monkeypatch, capsys):
+    # The record parses but does not verify; a long one is not copied out in full.
+    assert render(monkeypatch, json.dumps({**NOTEBOOK, "t": "1" + "0" * 4000})) == EXIT_UNVERIFIED
+    err = capsys.readouterr().err
+    assert err.startswith("ramid: identity does not verify: ") and len(err.encode()) < 1000
 
 
 @st.composite

@@ -18,12 +18,12 @@ from ramid import (
     Surd,
     TrivialInputError,
     build_tuple,
-    rational_identity,
     recover_k,
     solve_roots,
     squarefree_decompose,
     verify_tuple,
 )
+from ramid.construct import _cleared
 
 F = Fraction
 
@@ -62,10 +62,9 @@ def test_construction_entry_points_coerce_ints():
     assert type(result.gamma) is type(result.beta) is Fraction
     assert all(type(v) is Fraction for v in (result.t, result.A, result.z, result.k))
     assert result.identity() == IdentityTuple(F(2), F(3), F(7), F(11), F(19))
-    assert rational_identity(2, 3, 19, F(1, 6)) == result.identity()
 
 
-@pytest.mark.parametrize("entry", [build_tuple, rational_identity])
+@pytest.mark.parametrize("entry", [build_tuple])
 @pytest.mark.parametrize("slot", range(4))
 def test_construction_entry_points_reject_floats(entry, slot):
     args = [F(2), F(3), F(19), F(1, 6)]
@@ -74,17 +73,26 @@ def test_construction_entry_points_reject_floats(entry, slot):
         entry(*args)
 
 
-def test_rational_identity_rejects_irrational_and_negative_discriminants():
+def _square_n(*inputs):
+    # The integer test discover applies before building: N >= 0 is a square.
+    n = _cleared(*inputs)[3]
+    return n >= 0 and isqrt(n) ** 2 == n
+
+
+def test_n_test_rejects_irrational_and_negative_discriminants():
     assert build_tuple(F(2), F(3), F(19), F(1, 5)).roots.kind == "surd"
-    assert rational_identity(F(2), F(3), F(19), F(1, 5)) is None
+    assert _cleared(F(2), F(3), F(19), F(1, 5))[3] > 0
+    assert not _square_n(F(2), F(3), F(19), F(1, 5))
     assert build_tuple(F(2), F(3), F(2), F(1, 2)).roots.kind == "none"
-    assert rational_identity(F(2), F(3), F(2), F(1, 2)) is None
+    assert _cleared(F(2), F(3), F(2), F(1, 2))[3] < 0
+    assert _square_n(F(2), F(3), 19, F(1, 6))  # ints are read as they are
 
 
-def test_rational_identity_keeps_a_double_root():
+def test_build_tuple_keeps_a_double_root():
     # N = 0: x = y = 5
+    assert _cleared(F(2), F(2), F(-5), F(-1, 2))[3] == 0
     assert build_tuple(F(2), F(2), F(-5), F(-1, 2)).discriminant == 0
-    identity = rational_identity(F(2), F(2), F(-5), F(-1, 2))
+    identity = build_tuple(F(2), F(2), F(-5), F(-1, 2)).identity()
     assert identity == IdentityTuple(F(2), F(2), F(5), F(5), F(-5))
     assert verify_tuple(identity)
 
@@ -313,9 +321,10 @@ def test_gamma_beta_matches_the_fraction_formula(inputs):
 
 @settings(max_examples=300, deadline=None)
 @given(_construction_inputs())
-def test_rational_identity_agrees_with_build_tuple(inputs):
-    identity = rational_identity(*inputs)
-    assert identity == build_tuple(*inputs).identity()
+def test_n_is_a_square_exactly_when_the_roots_are_rational(inputs):
+    result = build_tuple(*inputs)
+    assert _square_n(*inputs) == (result.roots.kind == "rational")
+    identity = result.identity()
     if identity is not None:
         assert identity.radicand() == identity.rhs_product() ** 2
         if verify_tuple(identity):

@@ -19,6 +19,7 @@ from ramid import (
     ConfigurationError,
     FamilyDomainError,
     IdentityTuple,
+    Surd,
     build_tuple,
     classify,
     discover,
@@ -262,6 +263,30 @@ def test_surd_low_sign_degenerate_window():
     assert v.radicand() == v.rhs_product() * v.rhs_product()
 
 
+@pytest.mark.parametrize(
+    "generator, params, normalizations",
+    [
+        (surd_family_high, (F(10**12 + 39),), 1),
+        (surd_family_low, (F(-10),), 1),
+        (long_identity, (5, 3), 0),
+    ],
+    ids=["surd-high", "surd-low", "long-identity"],
+)
+def test_generators_normalize_only_the_field_root(monkeypatch, generator, params, normalizations):
+    # Rational entries embed in the identity model; only sqrt(r) normalizes.
+    calls = []
+    init = Surd.__init__
+
+    def counted(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Surd, "__init__", counted)
+    identity = generator(*params)
+    assert len(calls) == normalizations
+    assert verify_variation(identity)
+
+
 def _trivial(*values):
     return any(v in (0, 1, -1) for v in values)
 
@@ -350,6 +375,21 @@ def test_discover_finds_notebook_identity():
 def test_discover_deterministic():
     kwargs = dict(trials=5000, t=F(2), a_range=(2, 4), z_range=(-20, 20))
     assert discover(seed=9, **kwargs) == discover(seed=9, **kwargs)
+
+
+def test_discover_builds_only_draws_with_rational_roots(monkeypatch):
+    # The integer N test turns away every irrational draw before build_tuple.
+    expected = discover(seed=1, trials=2000, t=F(2))
+    built = []
+
+    def recorded(*inputs):
+        built.append(build_tuple(*inputs))
+        return built[-1]
+
+    monkeypatch.setattr("ramid.families.build_tuple", recorded)
+    assert discover(seed=1, trials=2000, t=F(2)) == expected
+    assert built
+    assert all(result.roots.kind == "rational" for result in built)
 
 
 # sha256 over the "\n"-joined JSON lines (with class tags) of
