@@ -4,7 +4,9 @@ Rationals are ``fractions.Fraction`` (always reduced, positive denominator),
 which already carries the invariants and the ``p/q`` string format required
 here.  ``Surd`` represents ``p + q*sqrt(d)`` with rational ``p``, ``q`` and a
 squarefree integer radicand ``d``, so equality and hashing are structural;
-arithmetic results keep their operands' normalized field.  Immutable.
+arithmetic results keep their operands' normalized field.  Immutable: the
+fields are set once, through the slot descriptors, when a ``Surd`` is built.
+The literal grammars of ``parse_rational`` and ``parse_surd`` are ASCII only.
 """
 
 from __future__ import annotations
@@ -17,10 +19,11 @@ from math import gcd, isqrt
 
 from .errors import IncompatibleFieldError, PreconditionError
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?", re.ASCII)
 _SURD_RE = re.compile(
-    r"^(?P<p>[+-]?\d+(?:/\d+)?)\s*(?P<sign>[+-])\s*"
-    r"(?P<q>\d+(?:/\d+)?)\*sqrt\((?P<d>\d+)\)$"
+    r"(?P<p>[+-]?\d+(?:/\d+)?)\s*(?P<sign>[+-])\s*"
+    r"(?P<q>\d+(?:/\d+)?)\*sqrt\((?P<d>\d+)\)",
+    re.ASCII,
 )
 
 _ZERO = Fraction(0)
@@ -30,12 +33,14 @@ _PSI_13 = 3317044064679887385961981
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse the strict ``p/q`` / ``p`` grammar (no floats, no whitespace);
-    a zero denominator is a ``ValueError`` too."""
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    """Parse the strict ``p/q`` / ``p`` grammar (ASCII digits, no floats, no
+    whitespace); a zero denominator is a ``ValueError`` too."""
+    m = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
+    if m is None:
         raise ValueError(f"not a rational literal: {text!r}")
+    num, den = m.groups()
     try:
-        return Fraction(text)
+        return Fraction(int(num), int(den)) if den else Fraction(int(num))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator: {text!r}") from None
 
@@ -252,17 +257,17 @@ class Surd:
                 p += q
                 q = _ZERO
                 d = 0
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "d", d)
+        _set_p(self, p)
+        _set_q(self, q)
+        _set_d(self, d)
 
     @classmethod
     def _field(cls, p: Fraction, q: Fraction, d: int) -> Surd:
         """``p + q*sqrt(d)`` for Fractions p, q and a squarefree (or 0) d."""
         self = object.__new__(cls)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "d", d if q else 0)
+        _set_p(self, p)
+        _set_q(self, q)
+        _set_d(self, d if not d or q else 0)
         return self
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -401,14 +406,18 @@ class Surd:
         return f"Surd({self.p!r}, {self.q!r}, {self.d})"
 
 
+# The slot setters, which skip the __setattr__ that makes a Surd immutable.
+_set_p, _set_q, _set_d = Surd.p.__set__, Surd.q.__set__, Surd.d.__set__
+
+
 def parse_surd(text: str) -> Surd:
     """Inverse of ``str(Surd)``; also accepts a bare rational literal."""
     if not isinstance(text, str):
         raise ValueError(f"not a surd literal: {text!r}")
     text = text.strip()
-    if _RATIONAL_RE.match(text):
+    if _RATIONAL_RE.fullmatch(text):
         return Surd._field(parse_rational(text), _ZERO, 0)
-    m = _SURD_RE.match(text)
+    m = _SURD_RE.fullmatch(text)
     if not m:
         raise ValueError(f"not a surd literal: {text!r}")
     q = parse_rational(m.group("q"))

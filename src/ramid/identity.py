@@ -20,7 +20,9 @@ which enters as v^2, and (-w, -s) for a right-side pair (w, s) with w < 0, as
 The signs and the order are decided on each entry cleared once to
 v = (a + b sqrt(f))/c with integers a, b and c > 0: v is 0 or 1 when b = 0
 and a is 0 or c, and as c1 c2 > 0, v1 < v2 exactly when
-(a1 c2 - a2 c1) + (b1 c2 - b2 c1) sqrt(f) < 0.
+(a1 c2 - a2 c1) + (b1 c2 - b2 c1) sqrt(f) < 0.  A negative entry is flipped
+on those integers, and each canonical entry is built once as a ``Surd``
+(a ``Surd`` entry that needs no flip is kept as it is).
 
 For a tuple the check is made in integers.  Each radicand factor splits as
 1 - 1/v^2 = (1 - 1/v)(1 + 1/v), and the right side s = (1 + 1/x)(1 + 1/y)
@@ -95,10 +97,13 @@ class IdentityTuple:
         if not (type(t) is type(A) is type(x) is type(y) is type(z) is Fraction):
             for name in ("t", "A", "x", "y", "z"):
                 object.__setattr__(self, name, as_rational(name, getattr(self, name)))
-        if self.t == 0:
+            t, A, x, y, z = self.t, self.A, self.x, self.y, self.z
+        if t == 0:
             raise TrivialInputError("t must be nonzero")
-        for name in ("A", "x", "y", "z"):
-            _check_nontrivial(name, getattr(self, name))
+        for value in (A, x, y, z):
+            if value.numerator in (0, 1, -1) and value.denominator == 1:
+                name = "Axyz"[(A, x, y, z).index(value)]  # no earlier entry equals it
+                raise TrivialInputError(f"{name} must not be 0, 1 or -1 (got {value})")
 
     def radicand(self) -> Fraction:
         r = self.t
@@ -182,37 +187,39 @@ def _integer_class(t: int, A: int, x: int, y: int, z: int) -> Classification:
     return Classification.SUPER_PERFECT
 
 
-def _cleared(v: Surd) -> tuple[int, int, int]:
-    # v = (a + b sqrt(d))/c with integers a, b and c > 0.
-    (pn, pd), (qn, qd) = v.p.as_integer_ratio(), v.q.as_integer_ratio()
+def _cleared(p: Fraction, q: Fraction) -> tuple[int, int, int]:
+    # p + q sqrt(d) = (a + b sqrt(d))/c with integers a, b and c > 0.
+    (pn, pd), (qn, qd) = p.as_integer_ratio(), q.as_integer_ratio()
     c = lcm(pd, qd)
     return pn * (c // pd), qn * (c // qd), c
 
 
 def _canonical(
     entries: Iterable[tuple[Surd | int | Fraction, int]], what: str
-) -> tuple[tuple[Surd, int], ...]:
+) -> list[tuple[Surd, int]]:
     # The canonical form of the module docstring; a radicand entry v is (v, +1).
     out, f = [], 0
     for value, sign in entries:
         if require_int("sign", sign) not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {sign}")
-        if not isinstance(value, Surd):
-            value = Surd._field(as_rational("entry", value), _ZERO, 0)
-        f = f or value.d  # a mix of fields is rejected by field_radicand
-        a, b, c = _cleared(value)
-        if _sign(a, b, value.d) < 0:
-            value, sign, a, b = -value, -sign, -a, -b
+        if isinstance(value, Surd):
+            p, q, d = value.p, value.q, value.d
+        else:
+            p, q, d, value = as_rational("entry", value), _ZERO, 0, None
+        f = f or d  # a mix of fields is rejected by field_radicand
+        a, b, c = _cleared(p, q)
+        if _sign(a, b, d) < 0:  # q is 0 when b is, and -q would build a Fraction
+            p, q, a, b, sign, value = -p, -q if b else q, -a, -b, -sign, None
         if b == 0 and a in (0, c):
-            raise TrivialInputError(f"{what} must not be 0, 1 or -1: {value}")
-        out.append((a, b, c, sign, value))
+            raise TrivialInputError(f"{what} must not be 0, 1 or -1: {p}")
+        out.append((a, b, c, sign, Surd._field(p, q, d) if value is None else value))
 
     def order(x: tuple, y: tuple) -> int:
         (a1, b1, c1, s1, _), (a2, b2, c2, s2, _) = x, y
         return _sign(a1 * c2 - a2 * c1, b1 * c2 - b2 * c1, f) or s2 - s1
 
     out.sort(key=cmp_to_key(order))
-    return tuple((value, sign) for *_, sign, value in out)
+    return [(value, sign) for _, _, _, sign, value in out]
 
 
 @dataclass(frozen=True)
@@ -226,9 +233,9 @@ class VariationIdentity:
         if self.scale == 0:
             raise TrivialInputError("scale must be nonzero")
         radicand = _canonical(((v, 1) for v in self.radicand_entries), "radicand entry")
-        object.__setattr__(self, "radicand_entries", tuple(v for v, _ in radicand))
+        object.__setattr__(self, "radicand_entries", tuple([v for v, _ in radicand]))
         rhs = _canonical(self.rhs_entries, "rhs value")
-        object.__setattr__(self, "rhs_entries", rhs)
+        object.__setattr__(self, "rhs_entries", tuple(rhs))
         self.field_radicand()  # rejects mixed fields eagerly
 
     def field_radicand(self) -> int:
@@ -300,12 +307,12 @@ def verify_variation(identity: VariationIdentity) -> bool:
     sn, sd = identity.scale.as_integer_ratio()
     num, D = (sn, 0), (1, 0)
     for v in identity.radicand_entries:
-        a, b, c = _cleared(v)
+        a, b, c = _cleared(v.p, v.q)
         num = _times(num, (a * a + b * b * f - c * c, 2 * a * b), f)
         D = _times(D, (a, b), f)
     rn, rd = (1, 0), (1, 0)
     for v, s in identity.rhs_entries:
-        a, b, c = _cleared(v)
+        a, b, c = _cleared(v.p, v.q)
         rn = _times(rn, (a + s * c, b), f)
         rd = _times(rd, (a, b), f)
     lhs = _times(num, _times(rd, rd, f), f)

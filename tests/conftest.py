@@ -115,6 +115,15 @@ _NONZERO = _RATIONALS.filter(lambda v: v != 0)
 _NONTRIVIAL = _RATIONALS.filter(lambda v: v not in (0, 1, -1))
 
 
+def canonical_reference(entries) -> list[tuple[Surd, int]]:
+    """The canonical form of ``VariationIdentity``'s entries, in ``Surd``
+    arithmetic: each negative (v, s) becomes (-v, -s), then the pairs ascend
+    by (value, -sign), so "+" comes first among equal values."""
+    pairs = [(Surd(0) + v, s) for v, s in entries]
+    flipped = [(-v, -s) if v < 0 else (v, s) for v, s in pairs]
+    return sorted(flipped, key=lambda pair: (pair[0], -pair[1]))
+
+
 @st.composite
 def signed_tuples(draw):
     """Signed rational tuples.  Half the time z solves

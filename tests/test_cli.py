@@ -42,9 +42,12 @@ def test_render_round_trips_a_tuple(monkeypatch, capsys):
         '{"radicand": ["1 + 1/0*sqrt(2)", "7"], "rhs": [["7", "+"]]}',  # in a surd
         "[" * 100000 + "]" * 100000,  # nested past the JSON decoder's recursion limit
         json.dumps({**NOTEBOOK, "t": "x" * 100000}),  # a long literal, repeated in the error
+        json.dumps({**NOTEBOOK, "t": "2\n"}),  # a literal with a trailing newline
+        json.dumps({**NOTEBOOK, "t": "\u0662"}),  # a non-ASCII digit
     ],
     ids=["no-z", "int-t", "list", "rhs-1", "rhs-item-int", "rhs-int", "rhs-str", "rhs-sign",
-         "tuple-zero-den", "surd-zero-den", "deep-nesting", "long-literal"],
+         "tuple-zero-den", "surd-zero-den", "deep-nesting", "long-literal",
+         "trailing-newline", "non-ascii-digit"],
 )
 def test_render_reports_malformed_records(monkeypatch, capsys, line):
     assert render(monkeypatch, line) == EXIT_USAGE

@@ -47,6 +47,31 @@ def test_parse_rational_rejects_floats_and_junk():
 
 @pytest.mark.parametrize(
     "parse, text",
+    [(parse_rational, "5\n"), (parse_rational, "\u0662"), (parse_rational, "1/\u0663"),
+     (parse_surd, "1 + 2*sqrt(\u0663)"), (parse_surd, "\u0661 + 2*sqrt(3)")],
+    ids=["trailing-newline", "arabic-indic-2", "arabic-indic-den", "arabic-indic-radicand",
+         "arabic-indic-p"],
+)
+def test_literal_grammar_is_strict_ascii(parse, text):
+    # "$" would match before a final newline, and "\d" any Unicode digit.
+    with pytest.raises(ValueError, match="not a"):
+        parse(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.from_regex(r"[+-]?[0-9]+(/[0-9]+)?", fullmatch=True))
+def test_parse_rational_agrees_with_fraction(text):
+    _, _, den = text.partition("/")
+    if den and int(den) == 0:
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_rational(text)
+    else:
+        value = parse_rational(text)
+        assert type(value) is F and value == F(text)
+
+
+@pytest.mark.parametrize(
+    "parse, text",
     [(parse_rational, "1/0"), (parse_rational, "-3/00"), (parse_surd, "1/0"),
      (parse_surd, "1 + 1/0*sqrt(2)"), (parse_surd, "-1/0 - 2*sqrt(3)")],
 )
@@ -420,7 +445,23 @@ def test_surd_rejects_negative_radicand():
         Surd(0, 1, -2)
 
 
+def test_surd_fields_keep_their_invariants():
+    # q = 0 forces d = 0, and a rational keeps d = 0 whatever q is.
+    assert Surd._field(F(5), F(0), 7).d == 0
+    assert Surd._field(F(5), F(1), 0).d == 0
+    s = Surd(1, 2, 8)
+    assert (s.p, s.q, s.d) == (1, 4, 2)
+    for name in ("p", "q", "d"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, 1)
+    assert (s.p, s.q, s.d) == (1, 4, 2)
+
+
 def test_surd_hash_consistency():
     assert hash(Surd(5)) == hash(F(5))
     assert Surd(0, 2, 2) == Surd(0, 1, 8)
     assert hash(Surd(0, 2, 2)) == hash(Surd(0, 1, 8))
+    # A Surd built by _field hashes as the constructor's does.
+    assert Surd._field(F(5), F(0), 7) == Surd(5) and hash(Surd._field(F(5), F(0), 7)) == hash(F(5))
+    assert Surd._field(F(1), F(4), 2) == Surd(1, 2, 8)
+    assert hash(Surd._field(F(1), F(4), 2)) == hash(Surd(1, 2, 8))

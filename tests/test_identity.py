@@ -5,12 +5,15 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    FIELDS,
+    canonical_reference,
     family_tuples,
     family_variations,
     float_agrees,
@@ -396,6 +399,48 @@ def test_canonical_form_ignores_entry_order_and_signs(identity, rng):
     pairs = rebuilt.rhs_entries
     assert all(v.sign() > 0 for v, _ in pairs)
     assert all(a < b or (a == b and s >= t) for (a, s), (b, t) in zip(pairs, pairs[1:]))
+
+
+@st.composite
+def _entries_of_one_field(draw):
+    """Radicand values and right-side pairs over Q or one field of ``FIELDS``,
+    each value with a random sign, in a random order.  Rationals come as
+    ints, ``Fraction``s and ``Surd``s."""
+    d = draw(st.sampled_from((0,) + FIELDS))
+    rational = st.builds(F, st.integers(-60, 60), st.integers(1, 15))
+    if d:
+        values = st.builds(Surd, rational, rational, st.just(d))
+    else:
+        values = st.one_of(rational, rational.map(Surd), st.integers(-60, 60))
+    values = st.tuples(values, st.sampled_from((1, -1))).map(lambda vs: vs[0] * vs[1])
+    values = values.filter(lambda v: v not in (0, 1, -1))
+    radicand = draw(st.lists(values, max_size=6))
+    rhs = draw(st.lists(st.tuples(values, st.sampled_from((1, -1))), max_size=6))
+    return draw(st.permutations(radicand)), draw(st.permutations(rhs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_entries_of_one_field())
+def test_canonical_form_matches_the_surd_reference(entries):
+    radicand, rhs = entries
+    identity = VariationIdentity(F(2), tuple(radicand), tuple(rhs))
+    expected = [v for v, _ in canonical_reference((v, 1) for v in radicand)]
+    assert list(identity.radicand_entries) == expected
+    assert list(identity.rhs_entries) == canonical_reference(rhs)
+    assert all(type(v) is Surd for v in identity.radicand_entries)
+
+
+def test_canonical_form_flips_a_negative_entry_without_surd_negation():
+    # rebak at a = -7 has negative entries; each is flipped on its cleared
+    # integers, and no Surd is negated on the way.
+    neg = Surd.__neg__
+    with mock.patch.object(Surd, "__neg__", autospec=True, side_effect=neg) as counted:
+        identity = VariationIdentity.from_tuple(rebak_family(F(-7)))
+    assert counted.call_count == 0
+    assert identity.to_json() == (
+        '{"scale": "3/4", "radicand": ["7", "13", "19", "41"], '
+        '"rhs": [["13", "-"], ["19", "-"], ["41", "-"]]}'
+    )
 
 
 def test_variation_parse_decomposes_each_literal_once(monkeypatch):
