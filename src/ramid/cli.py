@@ -2,6 +2,7 @@
 
 Exit codes: 0 success, 1 verification-false, 2 usage or domain error.
 Rationals on the command line use the exact ``p/q`` or integer grammar.
+The ``family`` options and their types come from ``families.FAMILIES``.
 """
 
 from __future__ import annotations
@@ -32,6 +33,10 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+# Every family parameter with its type, in the registry's order of first use.
+_FAMILY_PARAMS = {k: v for _, params in families.FAMILIES.values() for k, v in params.items()}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ramid",
@@ -60,10 +65,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("family", help="instantiate a closed-form family")
     p.add_argument("name", choices=families.FAMILIES)
-    p.add_argument("--a", type=_rational)
-    p.add_argument("--k", type=int)
-    p.add_argument("--b", type=int)
-    p.add_argument("--n", type=int)
+    for key, kind in _FAMILY_PARAMS.items():
+        p.add_argument(f"--{key}", type=_rational if kind is Fraction else int)
 
     p = sub.add_parser("discover", help="seeded random search at fixed t")
     p.add_argument("--seed", type=int, required=True)
@@ -114,11 +117,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_family(args: argparse.Namespace) -> int:
-    params = {
-        key: value
-        for key, value in (("a", args.a), ("k", args.k), ("b", args.b), ("n", args.n))
-        if value is not None
-    }
+    params = {k: v for k, v in vars(args).items() if k in _FAMILY_PARAMS and v is not None}
     identity = families.generate(args.name, params)
     ok = verify(identity)
     print(_to_json(identity, ok))
@@ -169,17 +168,17 @@ def _cmd_render(args: argparse.Namespace) -> int:
         if not line:
             continue
         identity = _parse_identity_json(line)
-        if args.format == "latex":
-            print(render.render_latex(identity, unchecked=args.unchecked))
-        elif args.format == "text":
-            print(render.render_text(identity, unchecked=args.unchecked))
-        else:
-            ok = verify(identity)
-            if not ok and not args.unchecked:
-                raise PreconditionError(f"identity does not verify: {_clip(line)}")
+        ok = verify(identity)
+        if not ok and not args.unchecked:
+            raise PreconditionError(f"identity does not verify: {_clip(line)}")
+        if args.format == "json":
             print(_to_json(identity, ok))
+        else:
+            print(_RENDERS[args.format](identity, unchecked=True))
     return EXIT_OK
 
+
+_RENDERS = {"latex": render.render_latex, "text": render.render_text}
 
 _COMMANDS = {
     "verify": _cmd_verify,

@@ -43,12 +43,12 @@ xy + (x+y) + 1 = 2 k t (A^2-1)(z-1) holds exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
 
 from .errors import TrivialInputError
-from .exact import Surd, as_rational, squarefree_decompose
+from .exact import Surd, _clear_pair, as_rational, squarefree_decompose
 from .identity import IdentityTuple, _check_nontrivial
 
 
@@ -60,7 +60,8 @@ class ConditionReport:
     minus_one_not_root: bool
 
     def all_satisfied(self) -> bool:
-        return all(astuple(self))
+        return (self.discriminant_nonnegative and self.beta_nonzero
+                and self.one_minus_gamma_plus_beta_nonzero and self.minus_one_not_root)
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -138,9 +139,7 @@ def solve_roots(gamma: Fraction, beta: Fraction) -> RootPair:
     docstring: a rational pair (larger first), a conjugate surd pair over the
     squarefree part of N, or none when N is negative."""
     gamma, beta = as_rational("gamma", gamma), as_rational("beta", beta)
-    m = lcm(gamma.denominator, beta.denominator)
-    g = gamma.numerator * (m // gamma.denominator)
-    b = beta.numerator * (m // beta.denominator)
+    g, b, m = _clear_pair(gamma, beta)
     n = g * g - 4 * b * m
     if n < 0:
         return RootPair("none")

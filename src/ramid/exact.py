@@ -15,7 +15,7 @@ import re
 from fractions import Fraction
 from functools import cache, total_ordering
 from itertools import compress
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import IncompatibleFieldError, PreconditionError
 
@@ -136,9 +136,7 @@ def _strong_lucas(n: int) -> bool:
 
 
 def _pollard_rho(n: int) -> int:
-    # Brent's cycle variant; n must be odd, composite, > 1.
-    if n % 2 == 0:
-        return 2
+    # Floyd's tortoise and hare on x -> x^2 + c; n must be odd, composite, > 1.
     for c in range(1, 100):
         x = y = 2
         d = 1
@@ -199,8 +197,6 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
         r = isqrt(n)
         if r * r == n:
             s *= r
-        elif is_prime(n):
-            f *= n
         else:
             exponents: dict[int, int] = {}
             _factor(n, exponents)
@@ -209,6 +205,13 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
                 if e % 2:
                     f *= p
     return f, s
+
+
+def _clear_pair(p: int | Fraction, q: int | Fraction) -> tuple[int, int, int]:
+    # p + q sqrt(d) = (a + b sqrt(d))/c with integers a, b and c > 0 the lcm of the denominators.
+    (pn, pd), (qn, qd) = p.as_integer_ratio(), q.as_integer_ratio()
+    c = lcm(pd, qd)
+    return pn * (c // pd), qn * (c // qd), c
 
 
 def _sign(a: int | Fraction, b: int | Fraction, d: int) -> int:
@@ -358,7 +361,6 @@ class Surd:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        self._common_d(rhs)
         return self * rhs.inverse()
 
     def __rtruediv__(self, other: object) -> Surd:

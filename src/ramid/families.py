@@ -177,14 +177,14 @@ def discover(
     return sorted(found)
 
 
-# Family name -> generator and its parameter names, in call order.
+# Family name -> generator and its parameters with their types, in call order.
 FAMILIES = {
-    "rebak": (rebak_family, ("a",)),
-    "rebak-variant": (rebak_variant_family, ("a",)),
-    "general-infinite": (general_infinite_family, ("k",)),
-    "long-identity": (long_identity, ("b", "n")),
-    "surd-high": (surd_family_high, ("a",)),
-    "surd-low": (surd_family_low, ("a",)),
+    "rebak": (rebak_family, {"a": Fraction}),
+    "rebak-variant": (rebak_variant_family, {"a": Fraction}),
+    "general-infinite": (general_infinite_family, {"k": int}),
+    "long-identity": (long_identity, {"b": int, "n": int}),
+    "surd-high": (surd_family_high, {"a": Fraction}),
+    "surd-low": (surd_family_low, {"a": Fraction}),
 }
 
 

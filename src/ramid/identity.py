@@ -11,7 +11,9 @@ shape: a rational scale, any number of radicand factors ``(1 - 1/v^2)`` and
 any number of signed right-side factors ``(1 +/- 1/w)``, with the values
 drawn from a single real quadratic field.  Verification never takes a square
 root: it checks that both sides are nonnegative and that the radicand equals
-the square of the right side, exactly.
+the square of the right side, exactly.  ``radicand()`` and ``rhs_product()``
+stay as the exact values of both sides, the references the property tests
+compare the integer checks against.
 
 A variation is stored in canonical form, so equal identities compare and
 serialize equal: each entry is a positive surd (|v| for a radicand entry v,
@@ -52,12 +54,12 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cmp_to_key
-from math import lcm
 from typing import Iterable
 
 from .errors import IncompatibleFieldError, PreconditionError, TrivialInputError
 from .exact import (
     Surd,
+    _clear_pair,
     _sign,
     as_rational,
     is_prime,
@@ -187,13 +189,6 @@ def _integer_class(t: int, A: int, x: int, y: int, z: int) -> Classification:
     return Classification.SUPER_PERFECT
 
 
-def _cleared(p: Fraction, q: Fraction) -> tuple[int, int, int]:
-    # p + q sqrt(d) = (a + b sqrt(d))/c with integers a, b and c > 0.
-    (pn, pd), (qn, qd) = p.as_integer_ratio(), q.as_integer_ratio()
-    c = lcm(pd, qd)
-    return pn * (c // pd), qn * (c // qd), c
-
-
 def _canonical(
     entries: Iterable[tuple[Surd | int | Fraction, int]], what: str
 ) -> list[tuple[Surd, int]]:
@@ -207,7 +202,7 @@ def _canonical(
         else:
             p, q, d, value = as_rational("entry", value), _ZERO, 0, None
         f = f or d  # a mix of fields is rejected by field_radicand
-        a, b, c = _cleared(p, q)
+        a, b, c = _clear_pair(p, q)
         if _sign(a, b, d) < 0:  # q is 0 when b is, and -q would build a Fraction
             p, q, a, b, sign, value = -p, -q if b else q, -a, -b, -sign, None
         if b == 0 and a in (0, c):
@@ -307,12 +302,12 @@ def verify_variation(identity: VariationIdentity) -> bool:
     sn, sd = identity.scale.as_integer_ratio()
     num, D = (sn, 0), (1, 0)
     for v in identity.radicand_entries:
-        a, b, c = _cleared(v.p, v.q)
+        a, b, c = _clear_pair(v.p, v.q)
         num = _times(num, (a * a + b * b * f - c * c, 2 * a * b), f)
         D = _times(D, (a, b), f)
     rn, rd = (1, 0), (1, 0)
     for v, s in identity.rhs_entries:
-        a, b, c = _cleared(v.p, v.q)
+        a, b, c = _clear_pair(v.p, v.q)
         rn = _times(rn, (a + s * c, b), f)
         rd = _times(rd, (a, b), f)
     lhs = _times(num, _times(rd, rd, f), f)

@@ -11,15 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import signed_tuples, variations
-from ramid import IdentityTuple, VariationIdentity, surd_family_low
+from ramid import IdentityTuple, VariationIdentity, rebak_family, surd_family_low, verify
 from ramid.cli import EXIT_OK, EXIT_UNVERIFIED, EXIT_USAGE, main
 
 NOTEBOOK = {"t": "2", "A": "3", "x": "7", "y": "11", "z": "19"}
 
 
-def render(monkeypatch, line: str) -> int:
+def render(monkeypatch, line: str, fmt: str = "json", *flags: str) -> int:
     monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
-    return main(["render", "--format", "json"])
+    return main(["render", "--format", fmt, *flags])
 
 
 def test_render_round_trips_a_tuple(monkeypatch, capsys):
@@ -56,11 +56,46 @@ def test_render_reports_malformed_records(monkeypatch, capsys, line):
     assert len(err.encode()) < 1000
 
 
+FORMATS = ["latex", "text", "json"]
+REBAK_FALSE = rebak_family(Fraction(-3, 5)).to_json()  # inside a sign-degenerate window
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_render_refuses_a_false_record(monkeypatch, capsys, fmt):
+    # One check and one message in every format; --unchecked skips the check.
+    assert render(monkeypatch, REBAK_FALSE, fmt) == EXIT_UNVERIFIED
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"ramid: identity does not verify: {REBAK_FALSE}\n"
+    assert render(monkeypatch, REBAK_FALSE, fmt, "--unchecked") == EXIT_OK
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 1 and err == ""
+
+
 def test_render_clips_a_false_record(monkeypatch, capsys):
     # The record parses but does not verify; a long one is not copied out in full.
-    assert render(monkeypatch, json.dumps({**NOTEBOOK, "t": "1" + "0" * 4000})) == EXIT_UNVERIFIED
-    err = capsys.readouterr().err
-    assert err.startswith("ramid: identity does not verify: ") and len(err.encode()) < 1000
+    line = json.dumps({**NOTEBOOK, "t": "1" + "0" * 4000})
+    for fmt in FORMATS:
+        assert render(monkeypatch, line, fmt) == EXIT_UNVERIFIED
+        err = capsys.readouterr().err
+        assert err.startswith("ramid: identity does not verify: ") and len(err.encode()) < 1000
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize(
+    "line", [json.dumps(NOTEBOOK), surd_family_low(Fraction(-9, 4)).to_json()],
+    ids=["tuple", "variation"],
+)
+def test_render_verifies_each_record_once(monkeypatch, capsys, fmt, line):
+    calls = []
+
+    def counted(identity):
+        calls.append(identity)
+        return verify(identity)
+
+    monkeypatch.setattr("ramid.cli.verify", counted)
+    monkeypatch.setattr("ramid.render.verify", counted)
+    assert render(monkeypatch, "\n".join([line] * 3), fmt) == EXIT_OK
+    assert len(calls) == 3 and len(capsys.readouterr().out.splitlines()) == 3
 
 
 @st.composite
@@ -128,6 +163,24 @@ def test_family_takes_exactly_its_parameters(capsys, argv, got):
     assert main(["family", "rebak", *argv]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err == f"ramid: family rebak takes exactly ['a'] (got {got})\n"
+
+
+def test_family_options_take_the_registry_types(capsys):
+    # --a is rational and --k, --b, --n are int, listed in the registry's order.
+    with pytest.raises(SystemExit):
+        main(["family", "--help"])
+    out = capsys.readouterr().out
+    lines = [out.index(f"\n  --{key} {key.upper()}\n") for key in "akbn"]
+    assert lines == sorted(lines)
+    assert main(["family", "rebak", "--a", "5/2"]) == EXIT_OK
+    capsys.readouterr()
+    for argv in (["general-infinite", "--k", "5/2"],
+                 ["long-identity", "--b", "5/2", "--n", "2"],
+                 ["long-identity", "--b", "3", "--n", "5/2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["family", *argv])
+        assert exc.value.code == EXIT_USAGE
+        assert "invalid int value: '5/2'" in capsys.readouterr().err
 
 
 def test_family_outside_its_domain_exits_2(capsys):

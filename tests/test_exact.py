@@ -96,6 +96,15 @@ def test_squarefree_decompose_large_semiprime():
     assert (f, s) == (q, p)
 
 
+def test_squarefree_decompose_tests_a_composite_cofactor_once(monkeypatch):
+    # 4099 and 4111 are the first primes past the trial division; the cofactor
+    # gets _factor's prime test alone, then each of its factors one more.
+    calls = []
+    monkeypatch.setattr("ramid.exact.is_prime", lambda n: calls.append(n) or is_prime(n))
+    assert squarefree_decompose(4099 * 4111) == (4099 * 4111, 1)
+    assert sorted(calls) == [4099, 4111, 4099 * 4111]
+
+
 def _squarefree_decompose_reference(n):
     # The trial division by every integer below 4096 that squarefree_decompose
     # ran before it switched to the primes alone; kept as its reference.

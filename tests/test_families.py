@@ -19,6 +19,7 @@ from ramid import (
     ConfigurationError,
     FamilyDomainError,
     IdentityTuple,
+    PreconditionError,
     Surd,
     build_tuple,
     classify,
@@ -89,6 +90,14 @@ def test_rebak_sign_degenerate_windows():
         identity = rebak_family(a)
         assert identity.radicand() == identity.rhs_product() ** 2
         assert not verify_tuple(identity)
+
+
+@pytest.mark.parametrize("render", [render_latex, render_text], ids=["latex", "text"])
+def test_renders_refuse_a_false_identity_unless_unchecked(render):
+    identity = rebak_family(F(-3, 5))  # inside a sign-degenerate window
+    with pytest.raises(PreconditionError, match="^identity does not verify"):
+        render(identity)
+    assert "sqrt" in render(identity, unchecked=True)
 
 
 def test_rebak_variant_known_instances():
