@@ -17,7 +17,7 @@ from . import enumeration, families, render
 from .construct import build_tuple
 from .errors import PreconditionError, RamidError
 from .exact import parse_rational
-from .identity import IdentityTuple, VariationIdentity, classify, verify, verify_tuple
+from .identity import IdentityTuple, VariationIdentity, _verified_class, verify, verify_tuple
 
 EXIT_OK = 0
 EXIT_UNVERIFIED = 1
@@ -88,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_verify(args: argparse.Namespace) -> int:
     identity = IdentityTuple(args.t, args.A, args.x, args.y, args.z)
     ok = verify_tuple(identity)
-    out = identity.to_json_dict(classify(identity) if ok else None)
+    out = identity.to_json_dict(_verified_class(identity) if ok else None)
     out["verified"] = ok
     print(json.dumps(out))
     return EXIT_OK if ok else EXIT_UNVERIFIED
@@ -133,15 +133,15 @@ def _cmd_discover(args: argparse.Namespace) -> int:
         z_range=(args.z_min, args.z_max),
         k_den_max=args.k_den,
     )
-    for identity in results:
-        print(identity.to_json(classify(identity)))
+    for identity in results:  # discover returns only tuples that verify
+        print(identity.to_json(_verified_class(identity)))
     return EXIT_OK
 
 
 def _to_json(identity: IdentityTuple | VariationIdentity, verified: bool) -> str:
     # A tuple that verifies carries its class tag.
     if isinstance(identity, IdentityTuple):
-        return identity.to_json(classify(identity) if verified else None)
+        return identity.to_json(_verified_class(identity) if verified else None)
     return identity.to_json()
 
 

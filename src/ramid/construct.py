@@ -12,11 +12,18 @@ root, the assembled (t, A, x, y, z) satisfies the squared relation
 radicand = rhs^2 identically; it is a genuine identity exactly when the
 right-side product is also nonnegative (``verify_tuple`` checks that).
 
-All of this is decided in integers over one common denominator.  With
-t = tn/td, A = an/ad, z = zn/zd and k = kn/kd in lowest terms, let
-w = (an^2 - ad^2) tn, P = w - an^2 td and Q = w + an^2 td; then
+The construction misses no identity.  Take a tuple (entries outside
+{0, 1, -1}) with radicand = rhs^2 and set k = (x-1)(y-1) / (2 A^2 (z+1)), as ``recover_k`` does.  The relation
+t (A^2-1)(x-1)(y-1)(z-1) = A^2 (x+1)(y+1)(z+1) (radicand = rhs^2 with the
+nonzero rhs cancelled) then reads (x+1)(y+1) = 2 k t (A^2-1)(z-1).  Half the
+difference of these two equations is x + y = gamma and half their sum is
+xy = beta, so x and y are the roots built from (t, A, z, k).
 
-    M = kd zd ad^2 td  (> 0)
+All of this is decided in integers over one common denominator.  With
+t = tn/td, A = an/ad, z = zn/zd and k = kn/kd, all denominators positive, let
+w = (an^2 - ad^2) tn, P = w - an^2 td, Q = w + an^2 td and D = ad^2 td; then
+
+    M = kd zd D  (> 0)
     G = kn (P zn - Q zd)           gamma = G / M
     B = kn (Q zn - P zd) - M       beta  = B / M
     N = G^2 - 4 B M                gamma^2 - 4 beta = N / M^2
@@ -27,7 +34,10 @@ N = (pM/q)^2, and an integer that is the square of a rational is the square
 of an integer.  So the roots are rational exactly when N >= 0 is a perfect
 square, and then x, y = (G -+ isqrt(N)) / (2M).  The condition flags are
 B != 0, M - G + B != 0 (1 is not a root) and M + G + B != 0 (-1 is not a
-root).  ``families.discover`` uses this N test to reject irrational draws
+root).  The fractions need not be in lowest terms: writing k as p/m with a
+common factor c multiplies G, B and M by c and N by c^2, which changes
+neither the sign of N nor whether it is a square.  ``families.discover``
+applies this N test to k = p/m as drawn, and rejects irrational draws
 without building the surd roots that ``build_tuple`` reports.
 
 ``solve_roots`` reads its roots from N by the same argument, after clearing
@@ -117,18 +127,24 @@ class ConstructionResult:
         return json.dumps(self.to_json_dict())
 
 
+def _coefficients(t: int | Fraction, A: int | Fraction) -> tuple[int, int, int]:
+    """(P, Q, D) of the module docstring for (t, A), with D = ad^2 td > 0.
+    Only numerators and denominators are read; the inputs are not checked."""
+    tn, td = t.numerator, t.denominator
+    an2, ad2 = A.numerator**2, A.denominator**2
+    w = (an2 - ad2) * tn
+    return w - an2 * td, w + an2 * td, ad2 * td
+
+
 def _cleared(
     t: int | Fraction, A: int | Fraction, z: int | Fraction, k: int | Fraction
 ) -> tuple[int, int, int, int]:
     """(G, B, M, N) of the module docstring: gamma = G/M, beta = B/M, M > 0
     and discriminant N/M^2.  Only numerators and denominators are read, so
     ints are accepted as they are; the inputs are not checked."""
-    tn, td = t.numerator, t.denominator
-    an2, ad2 = A.numerator**2, A.denominator**2
+    p, q, d = _coefficients(t, A)
     zn, zd = z.numerator, z.denominator
-    w = (an2 - ad2) * tn
-    p, q = w - an2 * td, w + an2 * td
-    m = k.denominator * zd * ad2 * td
+    m = k.denominator * zd * d
     g = k.numerator * (p * zn - q * zd)
     b = k.numerator * (q * zn - p * zd) - m
     return g, b, m, g * g - 4 * b * m

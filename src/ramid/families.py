@@ -17,7 +17,7 @@ import random
 from fractions import Fraction
 from math import isqrt
 
-from .construct import _cleared, build_tuple
+from .construct import _coefficients, build_tuple
 from .errors import ConfigurationError, FamilyDomainError, TrivialInputError
 from .exact import Surd, as_rational, require_int
 from .identity import IdentityTuple, VariationIdentity, verify_tuple
@@ -122,6 +122,23 @@ def normalize_tuple(identity: IdentityTuple) -> IdentityTuple:
     )
 
 
+def _randint_replay(getrandbits, lo: int, hi: int):
+    """A draw function equal, draw for draw, to ``Random.randint(lo, hi)`` of
+    the generator whose ``getrandbits`` is given: lo + r, with r redrawn from
+    ``getrandbits(n.bit_length())`` until r < n = hi - lo + 1, as CPython's
+    ``_randbelow_with_getrandbits`` does (3.10 to 3.13)."""
+    n = hi - lo + 1
+    bits = n.bit_length()
+
+    def draw() -> int:
+        r = getrandbits(bits)
+        while r >= n:
+            r = getrandbits(bits)
+        return lo + r
+
+    return draw
+
+
 def discover(
     seed: int,
     trials: int,
@@ -137,6 +154,14 @@ def discover(
     verifying tuple; results are normalized, deduplicated and sorted.  Draws
     whose roots are irrational (most of them) fail the integer test of
     ``construct`` (its N is negative or not a square) and are never built.
+
+    The draws stay in ints.  (P, Q, D) of ``construct`` is computed once per
+    A, on A's first draw, and a draw (A, z, p/m) tests
+    N = G^2 - 4 B M with M = m D, G = p (P z - Q) and B = p (Q z - P) - M, k
+    left unreduced.  The integers come from ``_randint_replay``, which
+    consumes the generator exactly as ``Random.randint`` does, so a seed
+    gives the hits it gave with ``randint``.  The replay goes when the
+    random draws give way to a deterministic scan of the box.
     """
     if require_int("trials", trials) <= 0:
         raise ConfigurationError(f"trials must be positive (got {trials})")
@@ -154,24 +179,32 @@ def discover(
         raise ConfigurationError("t must be nonzero")
 
     rng = random.Random(seed)
+    draw_a, draw_z, draw_m, draw_p = (
+        _randint_replay(rng.getrandbits, lo, hi)
+        for lo, hi in (a_range, z_range, (1, k_den_max), (-k_den_max, k_den_max))
+    )
+    uniform = rng.random
+    table: dict[int, tuple[int, int, int]] = {}
     found: set[IdentityTuple] = set()
     for _ in range(trials):
-        A = rng.randint(*a_range)
-        z = rng.randint(*z_range)
+        A = draw_a()
+        z = draw_z()
         if A in (0, 1, -1) or z in (0, 1, -1):
             continue
-        m = rng.randint(1, k_den_max)
-        if rng.random() < 0.5:
-            k = Fraction(1, m)
-        else:
-            p = rng.randint(-k_den_max, k_den_max)
-            if p == 0:
-                continue
-            k = Fraction(p, m)
-        n = _cleared(t, A, z, k)[3]
+        m = draw_m()
+        p = 1 if uniform() < 0.5 else draw_p()
+        if p == 0:
+            continue
+        if A not in table:
+            table[A] = _coefficients(t, A)
+        P, Q, D = table[A]
+        M = m * D
+        G = p * (P * z - Q)
+        B = p * (Q * z - P) - M
+        n = G * G - 4 * B * M
         if n < 0 or isqrt(n) ** 2 != n:
             continue
-        candidate = build_tuple(t, A, z, k).identity()
+        candidate = build_tuple(t, A, z, Fraction(p, m)).identity()
         if candidate is not None and verify_tuple(candidate):
             found.add(normalize_tuple(candidate))
     return sorted(found)

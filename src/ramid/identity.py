@@ -171,6 +171,11 @@ def classify(identity: IdentityTuple) -> Classification:
     """Most specific tag for a tuple that verifies (precondition)."""
     if not verify_tuple(identity):
         raise PreconditionError("classify requires a tuple that verifies")
+    return _verified_class(identity)
+
+
+def _verified_class(identity: IdentityTuple) -> Classification:
+    # classify's tag for a tuple the caller has verified.
     values = (identity.t, identity.A, identity.x, identity.y, identity.z)
     if any(v.denominator != 1 for v in values):
         return Classification.NONTRIVIAL_RATIONAL

@@ -5,6 +5,8 @@ of ``VariationIdentity`` (the tuple (2, 5, 4, 15, 251) shows 4 before 5) under
 a single square root, the signed product on the right.  Values render as
 integers, \\frac for non-integer rationals, and p + q\\sqrt{d} for surds;
 negative right-side values always display as subtraction, e.g. (1 - 1/45).
+In plain text every value but an integer is parenthesized, (1 - 1/(5/2)^2),
+so the line evaluates as written.
 """
 
 from __future__ import annotations
@@ -53,7 +55,9 @@ def _latex_rhs_factor(value: Surd, sign: int) -> str:
 
 
 def _text_value(value: Surd) -> str:
-    if value.is_rational:
+    # Integers print bare; fractions and surds in parentheses, so that
+    # 1/v and v^2 read as written.
+    if value.is_rational and value.p.denominator == 1:
         return str(value.p)
     return f"({value})"
 

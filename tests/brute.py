@@ -1,16 +1,24 @@
-"""Desk-scale brute-force oracle, independent of the pruned search bounds.
+"""Desk-scale references for the searches.
 
-Loops every 2 <= A < x < y <= limit for t in 2..6 (no inequality pruning),
+``brute_force_super_perfect`` is independent of the pruned search bounds.  It
+loops every 2 <= A < x < y <= limit for t in 2..6 (no inequality pruning),
 solves z in closed form with vectorized int64 arithmetic, then confirms each
 integer hit exactly with Fractions before reporting it.  With limit = 2000
 the products stay below ~1e14, far inside int64.
+
+``discover_reference`` is the seeded search as it was written with
+``Random.randint`` and a ``Fraction`` k per draw, tested with
+``construct._cleared``.
 """
 
+import random
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 
-from ramid import IdentityTuple, verify_tuple
+from ramid import IdentityTuple, build_tuple, normalize_tuple, verify_tuple
+from ramid.construct import _cleared
 
 
 def _pair_arrays(limit: int):
@@ -61,3 +69,35 @@ def brute_force_super_perfect(limit: int = 2000) -> set[IdentityTuple]:
         assert verify_tuple(identity), identity
         confirmed.add(identity)
     return confirmed
+
+
+def discover_reference(
+    seed: int,
+    trials: int,
+    t: Fraction,
+    a_range: tuple[int, int] = (2, 6),
+    z_range: tuple[int, int] = (-50, 50),
+    k_den_max: int = 12,
+) -> list[IdentityTuple]:
+    rng = random.Random(seed)
+    found = set()
+    for _ in range(trials):
+        A = rng.randint(*a_range)
+        z = rng.randint(*z_range)
+        if A in (0, 1, -1) or z in (0, 1, -1):
+            continue
+        m = rng.randint(1, k_den_max)
+        if rng.random() < 0.5:
+            k = Fraction(1, m)
+        else:
+            p = rng.randint(-k_den_max, k_den_max)
+            if p == 0:
+                continue
+            k = Fraction(p, m)
+        n = _cleared(t, A, z, k)[3]
+        if n < 0 or isqrt(n) ** 2 != n:
+            continue
+        candidate = build_tuple(t, A, z, k).identity()
+        if candidate is not None and verify_tuple(candidate):
+            found.add(normalize_tuple(candidate))
+    return sorted(found)

@@ -1,5 +1,6 @@
 """Shared helpers: extended-precision float oracles and family test grids."""
 
+import re
 from fractions import Fraction
 
 import mpmath
@@ -51,6 +52,22 @@ def mp_variation_sides(identity: VariationIdentity) -> tuple[mpmath.mpf, mpmath.
     for v, sign in identity.rhs_entries:
         s *= 1 + sign / mp_surd(v)
     return mpmath.sqrt(r), s
+
+
+_TEXT_TOKENS = re.compile(r"\d+|sqrt|[ +\-*/^()]")
+
+
+def mp_text_sides(text: str) -> tuple[mpmath.mpf, mpmath.mpf]:
+    """Both sides of a ``render_text`` line, evaluated as written: integers
+    as 120-bit floats, ^ as power, the usual precedence."""
+    lhs, rhs = text.split(" = ")
+
+    def evaluate(expr: str) -> mpmath.mpf:
+        assert not _TEXT_TOKENS.sub("", expr), expr
+        expr = re.sub(r"\d+", lambda m: f"mpf({m.group()})", expr).replace("^", "**")
+        return eval(expr, {"__builtins__": {}, "mpf": mpmath.mpf, "sqrt": mpmath.sqrt})
+
+    return evaluate(lhs), evaluate(rhs)
 
 
 def float_agrees(identity, rel_tol: float = 1e-10) -> bool:

@@ -11,7 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import signed_tuples, variations
-from ramid import IdentityTuple, VariationIdentity, rebak_family, surd_family_low, verify
+from ramid import (
+    IdentityTuple,
+    VariationIdentity,
+    rebak_family,
+    surd_family_low,
+    verify,
+    verify_tuple,
+)
 from ramid.cli import EXIT_OK, EXIT_UNVERIFIED, EXIT_USAGE, main
 
 NOTEBOOK = {"t": "2", "A": "3", "x": "7", "y": "11", "z": "19"}
@@ -96,6 +103,35 @@ def test_render_verifies_each_record_once(monkeypatch, capsys, fmt, line):
     monkeypatch.setattr("ramid.render.verify", counted)
     assert render(monkeypatch, "\n".join([line] * 3), fmt) == EXIT_OK
     assert len(calls) == 3 and len(capsys.readouterr().out.splitlines()) == 3
+
+
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (["verify", "--t", "2", "--A", "3", "--x", "7", "--y", "11", "--z", "19"], None),
+        # No two draws of this seed build the same identity, so discover
+        # itself verifies each of its 32 hits once.
+        (["discover", "--seed", "7", "--trials", "1000", "--t", "2"], None),
+        (["family", "general-infinite", "--k", "3"], None),
+        (["render", "--format", "json"], json.dumps(NOTEBOOK)),
+    ],
+    ids=["verify", "discover", "family", "render"],
+)
+def test_each_printed_tuple_is_verified_once(monkeypatch, capsys, argv, stdin):
+    calls = []
+
+    def counted(identity):
+        calls.append(identity)
+        return verify_tuple(identity)
+
+    for module in ("identity", "families", "cli"):
+        monkeypatch.setattr(f"ramid.{module}.verify_tuple", counted)
+    if stdin is not None:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin + "\n"))
+    assert main(argv) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines and all('"class": ' in line for line in lines)
+    assert len(calls) == len(lines)
 
 
 @st.composite

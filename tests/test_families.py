@@ -5,8 +5,12 @@ import random
 import re
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from brute import discover_reference
 from conftest import (
     GENERAL_GRID,
     LONG_GRID,
@@ -14,6 +18,7 @@ from conftest import (
     REBAK_VARIANT_GRID,
     SURD_HIGH_GRID,
     SURD_LOW_GRID,
+    mp_text_sides,
 )
 from ramid import (
     ConfigurationError,
@@ -37,7 +42,7 @@ from ramid import (
     verify_tuple,
     verify_variation,
 )
-from ramid.families import generate
+from ramid.families import _randint_replay, generate
 
 F = Fraction
 
@@ -419,6 +424,51 @@ def test_discover_output_pinned(seed, t, digest):
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
 
 
+# Range sizes at and next to powers of two, where randint's rejection
+# sampling redraws most often (size 2^j + 1) and least (size 2^j).
+_SIZES = st.one_of(st.sampled_from([1, 2, 3, 4, 5, 8, 9, 16, 17, 32]), st.integers(1, 60))
+
+
+def _ranges(bound: int):
+    return st.tuples(st.integers(-bound, bound), _SIZES).map(
+        lambda pair: (pair[0], pair[0] + pair[1] - 1)
+    ).filter(lambda r: any(v not in (0, 1, -1) for v in range(r[0], r[1] + 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**64),
+    t=st.builds(F, st.integers(-20, 20).filter(bool), st.integers(1, 9)),
+    a_range=_ranges(8),
+    z_range=_ranges(30),
+    k_den_max=st.one_of(st.sampled_from([1, 2, 4, 8, 16]), st.integers(1, 20)),
+)
+@example(seed=1, t=F(2), a_range=(2, 6), z_range=(-50, 50), k_den_max=12)
+@example(seed=5, t=F(-7, 3), a_range=(-6, 6), z_range=(-1, 20), k_den_max=5)
+@example(seed=2, t=F(15, 16), a_range=(3, 3), z_range=(-8, 7), k_den_max=1)
+def test_discover_equals_the_randint_reference(seed, t, a_range, z_range, k_den_max):
+    kwargs = dict(seed=seed, trials=300, t=t, a_range=a_range, z_range=z_range,
+                  k_den_max=k_den_max)
+    assert discover(**kwargs) == discover_reference(**kwargs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**64),
+    lo=st.integers(-(10**6), 10**6),
+    size=st.one_of(
+        st.sampled_from([1, 2, 3, 4, 7, 8, 9, 16, 2**31, 2**32, 2**32 + 1, 2**64]),
+        st.integers(1, 10**9),
+    ),
+)
+def test_randint_replay_equals_randint_draw_for_draw(seed, lo, size):
+    hi = lo + size - 1
+    expected, replayed = random.Random(seed), random.Random(seed)
+    draw = _randint_replay(replayed.getrandbits, lo, hi)
+    assert [draw() for _ in range(200)] == [expected.randint(lo, hi) for _ in range(200)]
+    assert replayed.getstate() == expected.getstate()
+
+
 def test_discover_rejects_bad_config():
     with pytest.raises(ConfigurationError):
         discover(seed=1, trials=0, t=F(2))
@@ -460,8 +510,8 @@ def _family_render_calls():
 
 def test_family_render_output_pinned():
     # sha256 over the "\0"-joined to_json(), verify, render_latex and
-    # render_text of each parsed family member, recorded before Surd
-    # arithmetic kept its operands' field instead of renormalizing.
+    # render_text of each parsed family member, recorded when render_text
+    # began to parenthesize fraction entries (28 of the 68 lines changed).
     parts = []
     for name, params in _family_render_calls():
         original = generate(name, params)
@@ -471,4 +521,24 @@ def test_family_render_output_pinned():
         parts += [text, str(verify(parsed)),
                   render_latex(parsed, unchecked=True), render_text(parsed, unchecked=True)]
     digest = hashlib.sha256("\0".join(parts).encode()).hexdigest()
-    assert digest == "813bd9fdf3f94d8303173738f98fd5cd3d8a34b3241ea265ed8a54e86310137b"
+    assert digest == "93e984ed41e2c357abeb64e4d7bb9252eb02ebecb7100c2514730e0e0fc58d13"
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    name=st.sampled_from(["rebak", "rebak-variant", "surd-high", "surd-low"]),
+    a=st.builds(F, st.integers(-200, 200), st.integers(2, 30)),
+)
+@example(name="rebak", a=F(5, 2))
+@example(name="surd-high", a=F(7, 2))
+@example(name="surd-low", a=F(-9, 4))
+def test_render_text_of_fraction_members_evaluates_true(name, a):
+    # The text line, read as written by the mpmath oracle, is a true equation.
+    try:
+        identity = generate(name, {"a": a})
+    except FamilyDomainError:
+        return
+    if not verify(identity):  # a sign-degenerate window
+        return
+    lhs, rhs = mp_text_sides(render_text(identity))
+    assert abs(lhs - rhs) <= mpmath.mpf(2) ** -100 * max(abs(rhs), 1)
