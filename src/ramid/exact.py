@@ -70,8 +70,8 @@ def is_prime(n: int) -> bool:
     """Exact primality: Miller-Rabin with the first 12 prime bases is exact
     below psi_12 (about 3.2e23), with base 41 too below psi_13 (about 3.3e24);
     from psi_13 on a strong Lucas test follows, which makes it Baillie-PSW, a
-    test with no known counterexample."""
-    if n < 2:
+    test with no known counterexample.  ``n`` must be an int."""
+    if require_int("n", n) < 2:
         return False
     for p in _SMALL_PRIMES:
         if n % p == 0:
@@ -176,9 +176,9 @@ def _trial_primes() -> tuple[int, ...]:
 def squarefree_decompose(n: int) -> tuple[int, int]:
     """Write ``n = s*s*f`` with ``f`` squarefree; return ``(f, s)``.
 
-    ``n`` must be nonnegative; ``squarefree_decompose(0) == (0, 1)``.
+    ``n`` must be a nonnegative int; ``squarefree_decompose(0) == (0, 1)``.
     """
-    if n < 0:
+    if require_int("n", n) < 0:
         raise ValueError("radicand must be nonnegative")
     if n in (0, 1):
         return n, 1

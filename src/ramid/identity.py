@@ -26,6 +26,15 @@ and a is 0 or c, and as c1 c2 > 0, v1 < v2 exactly when
 on those integers, and each canonical entry is built once as a ``Surd``
 (a ``Surd`` entry that needs no flip is kept as it is).
 
+A tuple (t, A, x, y, z) is the variation with scale t, radicand entries
+A, x, y, z and right side (x, +), (y, +), (z, +).  Its entries are rationals
+outside {0, +-1}, so its canonical form is plain order: the radicand is
+|A|, |x|, |y|, |z| ascending, and the right side is (|v|, sign v) for v in
+x, y, z, by value with "+" first.  With v = n/d and L the common denominator,
+that is the order of the integers |n| (L/d).  ``VariationIdentity.from_tuple``
+builds this form directly; every other variation goes through the general
+canonicalization above.
+
 For a tuple the check is made in integers.  Each radicand factor splits as
 1 - 1/v^2 = (1 - 1/v)(1 + 1/v), and the right side s = (1 + 1/x)(1 + 1/y)
 (1 + 1/z) is nonzero because v = -1 is rejected.  Cancelling s once, the
@@ -54,6 +63,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cmp_to_key
+from math import lcm
 from typing import Iterable
 
 from .errors import IncompatibleFieldError, PreconditionError, TrivialInputError
@@ -288,9 +298,46 @@ class VariationIdentity:
         return cls.from_json_dict(json.loads(text))
 
     @classmethod
+    def _of_canonical(
+        cls,
+        scale: Fraction,
+        radicand_entries: tuple[Surd, ...],
+        rhs_entries: tuple[tuple[Surd, int], ...],
+    ) -> "VariationIdentity":
+        """A variation from fields already in canonical form, unchecked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "radicand_entries", radicand_entries)
+        object.__setattr__(self, "rhs_entries", rhs_entries)
+        return self
+
+    @classmethod
     def from_tuple(cls, identity: IdentityTuple) -> "VariationIdentity":
-        x, y, z = identity.x, identity.y, identity.z
-        return cls(identity.t, (identity.A, x, y, z), ((x, 1), (y, 1), (z, 1)))
+        """``cls(t, (A, x, y, z), ((x, 1), (y, 1), (z, 1)))``, built directly.
+
+        Every entry of a tuple is a rational outside {0, 1, -1}, so no entry
+        is rejected, the field is Q, and the flip of a negative v gives |v| on
+        the radicand and (|v|, -1) on the right side.  With v = n/d (d > 0) and
+        L the lcm of the denominators, |v| < |w| exactly when
+        |n| (L/d) < |m| (L/e) for w = m/e, so both lists sort by those
+        integers, "+" before "-" among equal values on the right side.  One
+        ``Surd`` per distinct |v| serves both lists.
+        """
+        values = (identity.A, identity.x, identity.y, identity.z)
+        ratios = [v.as_integer_ratio() for v in values]
+        L = lcm(*[d for _, d in ratios])
+        surds: dict[int, Surd] = {}
+        keys = []  # per entry, (|v| L, -sign of v)
+        for v, (n, d) in zip(values, ratios):
+            key = abs(n) * (L // d)
+            if key not in surds:
+                surds[key] = Surd._field(v if n > 0 else -v, _ZERO, 0)
+            keys.append((key, -1 if n > 0 else 1))
+        return cls._of_canonical(
+            identity.t,
+            tuple([surds[key] for key, _ in sorted(keys)]),
+            tuple([(surds[key], -m) for key, m in sorted(keys[1:])]),
+        )
 
 
 def _times(x: tuple[int, int], y: tuple[int, int], f: int) -> tuple[int, int]:
@@ -322,7 +369,12 @@ def verify_variation(identity: VariationIdentity) -> bool:
 
 
 def verify(identity: IdentityTuple | VariationIdentity) -> bool:
-    """``verify_tuple`` or ``verify_variation``, by type."""
+    """``verify_tuple`` or ``verify_variation``, by type; anything else is
+    rejected."""
     if isinstance(identity, IdentityTuple):
         return verify_tuple(identity)
-    return verify_variation(identity)
+    if isinstance(identity, VariationIdentity):
+        return verify_variation(identity)
+    raise PreconditionError(
+        f"not an identity: {type(identity).__name__} {identity!r}"
+    )

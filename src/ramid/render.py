@@ -71,6 +71,8 @@ def _checked_variation(
         )
     if isinstance(identity, IdentityTuple):
         return VariationIdentity.from_tuple(identity)
+    if not isinstance(identity, VariationIdentity):  # verify rejects it unless unchecked
+        raise PreconditionError(f"not an identity: {type(identity).__name__} {identity!r}")
     return identity
 
 

@@ -155,6 +155,16 @@ def signed_tuples(draw):
 
 
 @st.composite
+def tuples_with_ties(draw):
+    """Signed rational tuples whose |A|, |x|, |y| and |z| often coincide:
+    each entry is one of at most three values, with a random sign."""
+    pool = draw(st.lists(_NONTRIVIAL, min_size=1, max_size=3))
+    entries = st.tuples(st.sampled_from(pool), st.sampled_from((1, -1)))
+    A, x, y, z = (v * s for v, s in draw(st.lists(entries, min_size=4, max_size=4)))
+    return IdentityTuple(draw(_NONZERO), A, x, y, z)
+
+
+@st.composite
 def variations(draw):
     """Variations over Q or one field of ``FIELDS``, with up to 6 radicand and
     4 right-side entries.  Half the time the entries are conjugate pairs and

@@ -184,6 +184,15 @@ def test_is_prime_small_and_large():
     assert not is_prime(999983 * 17)
 
 
+@pytest.mark.parametrize("n", [1e20, 1e20 + 1, 97.0, True, False, F(97), "97"])
+@pytest.mark.parametrize("function", [squarefree_decompose, is_prime])
+def test_integer_helpers_reject_non_ints(function, n):
+    # A float or a bool once went through: squarefree_decompose(1e20) gave
+    # (1, 10000000000) and is_prime(1e20 + 1) gave False.
+    with pytest.raises(PreconditionError, match="must be an int"):
+        function(n)
+
+
 PSI_12 = 318665857834031151167461  # strong pseudoprime to the bases 2..37
 PSI_13 = 3317044064679887385961981  # ... and to 41
 

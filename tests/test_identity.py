@@ -8,7 +8,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -18,6 +18,7 @@ from conftest import (
     family_variations,
     float_agrees,
     signed_tuples,
+    tuples_with_ties,
     variations,
 )
 from ramid import (
@@ -32,6 +33,8 @@ from ramid import (
     is_prime,
     rebak_family,
     rebak_variant_family,
+    render_latex,
+    render_text,
     squarefree_decompose,
     surd_family_high,
     surd_family_low,
@@ -39,6 +42,7 @@ from ramid import (
     verify_tuple,
     verify_variation,
 )
+from ramid import identity as identity_module
 
 F = Fraction
 
@@ -341,6 +345,20 @@ def test_verify_dispatches_by_type():
     assert not verify(variation(1, [3, 7, 11, 19], [(7, 1), (11, 1), (19, 1)]))
 
 
+@pytest.mark.parametrize(
+    "function",
+    [verify, render_latex, render_text,
+     lambda value: render_latex(value, unchecked=True),
+     lambda value: render_text(value, unchecked=True)],
+    ids=["verify", "latex", "text", "latex-unchecked", "text-unchecked"],
+)
+@pytest.mark.parametrize("value", [5, None, "2 3 7 11 19", (2, 3, 7, 11, 19)])
+def test_non_identities_are_rejected(function, value):
+    # 5 once reached field_radicand and raised AttributeError.
+    with pytest.raises(PreconditionError, match="^not an identity"):
+        function(value)
+
+
 def test_variation_from_tuple_matches_verifier():
     identity = tup(2, 3, 7, 11, 19)
     v = VariationIdentity.from_tuple(identity)
@@ -462,3 +480,31 @@ def test_variation_parse_decomposes_each_literal_once(monkeypatch):
 def test_tuple_json_round_trip_property(identity):
     assert IdentityTuple.from_json(identity.to_json()) == identity
     assert IdentityTuple.from_json(identity.to_json(Classification.GENERAL)) == identity
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(signed_tuples(), tuples_with_ties()))
+@example(tup(2, 3, 7, -7, 19))  # x = -y: "+" comes first
+@example(tup(2, -19, 7, 7, 19))  # x = y and A = -z
+@example(tup(F(-3, 4), F(5, 2), F(-10, 4), F(5, 3), F(5, 2)))
+def test_from_tuple_is_the_general_canonical_form(identity):
+    x, y, z = identity.x, identity.y, identity.z
+    general = VariationIdentity(identity.t, (identity.A, x, y, z), ((x, 1), (y, 1), (z, 1)))
+    direct = VariationIdentity.from_tuple(identity)
+    assert direct == general and direct.to_json() == general.to_json()
+    assert hash(direct) == hash(general)
+    assert all(type(v) is Surd for v in direct.radicand_entries)
+
+
+def test_renders_of_a_tuple_skip_the_general_canonicalizer(monkeypatch):
+    calls = []
+    canonical = identity_module._canonical
+    monkeypatch.setattr(
+        identity_module, "_canonical", lambda *args: calls.append(args) or canonical(*args)
+    )
+    identity = tup(2, 3, 7, 11, 19)
+    render_latex(identity)
+    render_text(identity)
+    assert calls == []
+    VariationIdentity(2, (3, 7, 11, 19), ((7, 1), (11, 1), (19, 1)))
+    assert len(calls) == 2  # the counter sees the general constructor
