@@ -1,6 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification-false, 2 usage or domain error.
+A stdout closed by its reader (``ramid enumerate | head -1``) is not an
+error: the command stops writing and exits 0 silently, whether or not it got
+to finish.  Any other failure to write stdout, such as a full disk, exits 2
+with its message.
 Rationals on the command line use the exact ``p/q`` or integer grammar.
 The ``family`` options and their types come from ``families.FAMILIES``.
 """
@@ -9,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -209,13 +214,23 @@ def main(argv: list[str] | None = None) -> int:
         _attach_negative_fractions(sys.argv[1:] if argv is None else argv)
     )
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a failed write to stdout shows here, not at exit
+    except BrokenPipeError:  # the reader is gone (`| head -1`): stop quietly
+        code = EXIT_OK
     except PreconditionError as exc:
         print(f"ramid: {exc}", file=sys.stderr)
-        return EXIT_UNVERIFIED
+        code = EXIT_UNVERIFIED
     except (RamidError, ValueError, OSError) as exc:
         print(f"ramid: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code = EXIT_USAGE
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # What stdout holds cannot be written: point it at devnull, so the
+        # flush at exit cannot fail again ("Exception ignored", exit 120).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

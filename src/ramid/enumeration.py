@@ -42,6 +42,11 @@ d = A^2 q, a candidate completes when n > d and n - d divides n + d, and is
 kept when z = (n+d)/(n-d) is at least its least admissible z (y+1 for
 super-perfect cells, y for perfect ones).  ``solve_z`` is the reference for
 this completion.
+
+Each distinct completed int is checked once to be at least 2; the
+identities are then built from shared ``Fraction``s by the private
+``IdentityTuple._of_checked``, which skips the public constructor's checks,
+and ``verify_tuple`` runs once on each.
 """
 
 from __future__ import annotations
@@ -202,13 +207,25 @@ def _run_cells(
     scan: Callable[[tuple[int, int], list[tuple[int, ...]]], int],
 ) -> EnumerationReport:
     """Scan every cell for completed integer tuples, then dedup and sort them
-    and build, verify and tag each identity once."""
+    and build, verify and tag each identity once.
+
+    Each distinct int is checked once to be at least 2, which covers the
+    public constructor's checks (t nonzero, no entry 0 or +-1); a failure
+    raises ``AssertionError`` naming the tuple.  Each identity is then built
+    by ``IdentityTuple._of_checked`` from one shared ``Fraction`` per int,
+    and ``verify_tuple`` runs once on each.
+    """
     start = time.perf_counter()
     hits: list[tuple[int, ...]] = []
     examined = sum(scan(cell, hits) for cell in cells)
     found = sorted(set(hits))
     fraction_of = {n: Fraction(n) for n in set(chain.from_iterable(found))}
-    identities = tuple(IdentityTuple(*map(fraction_of.__getitem__, v)) for v in found)
+    if min(fraction_of, default=2) < 2:
+        low = next(v for v in found if min(v) < 2)
+        raise AssertionError(f"enumerated tuple has an entry below 2: {low}")
+    identities = tuple(
+        [IdentityTuple._of_checked(*map(fraction_of.__getitem__, v)) for v in found]
+    )
     for identity in identities:
         if not verify_tuple(identity):
             raise AssertionError(f"enumerated tuple fails to verify: {identity}")

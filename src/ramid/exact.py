@@ -28,6 +28,8 @@ _SURD_RE = re.compile(
 
 _ZERO = Fraction(0)
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PSI_4 = 3215031751
+_PSI_9 = 3825123056546413051
 _PSI_12 = 318665857834031151167461
 _PSI_13 = 3317044064679887385961981
 
@@ -67,20 +69,36 @@ def require_int(name: str, value: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Exact primality: Miller-Rabin with the first 12 prime bases is exact
-    below psi_12 (about 3.2e23), with base 41 too below psi_13 (about 3.3e24);
-    from psi_13 on a strong Lucas test follows, which makes it Baillie-PSW, a
-    test with no known counterexample.  ``n`` must be an int."""
+    """Exact primality.  After trial division by the primes up to 37, an n
+    below 41^2 = 1681 is prime.  Otherwise Miller-Rabin runs the fewest prime
+    bases that are exact for n, psi_k being the least strong pseudoprime to
+    the first k prime bases: 2, 3, 5 and 7 below psi_4 = 3,215,031,751; 2 to
+    23 below psi_9 = 3,825,123,056,546,413,051; 2 to 37 below psi_12 (about
+    3.2e23), and 41 too below psi_13 (about 3.3e24).  psi_4 and the value of
+    psi_9 are from Jaeschke, "On strong pseudoprimes to several bases"
+    (Math. Comp. 61, 1993); psi_12 and psi_13, and psi_9 as the least, are
+    from Sorenson and Webster, "Strong pseudoprimes to twelve prime bases"
+    (2015; Math. Comp. 86, 2017).  From psi_13 on a strong Lucas test
+    follows, which makes it Baillie-PSW, a test with no known counterexample.
+    ``n`` must be an int."""
     if require_int("n", n) < 2:
         return False
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
+    if n < 1681:
+        return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _SMALL_PRIMES if n < _PSI_12 else _SMALL_PRIMES + (41,):
+    if n < _PSI_4:
+        bases = _SMALL_PRIMES[:4]
+    elif n < _PSI_9:
+        bases = _SMALL_PRIMES[:9]
+    else:
+        bases = _SMALL_PRIMES if n < _PSI_12 else _SMALL_PRIMES + (41,)
+    for a in bases:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

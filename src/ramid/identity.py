@@ -90,6 +90,10 @@ class Classification(enum.Enum):
     PRIME = "prime"
 
 
+# The "class" member of a tuple's JSON line, by tag (None for no tag).
+_JSON_TAG = {None: "", **{c: f', "class": "{c.value}"' for c in Classification}}
+
+
 def _check_nontrivial(name: str, value: Fraction) -> None:
     if value.numerator in (0, 1, -1) and value.denominator == 1:
         raise TrivialInputError(f"{name} must not be 0, 1 or -1 (got {value})")
@@ -144,11 +148,25 @@ class IdentityTuple:
     def to_json(self, classification: Classification | None = None) -> str:
         # json.dumps(self.to_json_dict(classification)), byte for byte: a
         # Fraction prints as digits, "-" and "/", and the tags are plain ASCII.
-        tag = "" if classification is None else f', "class": "{classification.value}"'
+        # str() skips format()'s dispatch, and the tag text is looked up.
         return (
-            f'{{"t": "{self.t}", "A": "{self.A}", "x": "{self.x}", '
-            f'"y": "{self.y}", "z": "{self.z}"{tag}}}'
+            f'{{"t": "{str(self.t)}", "A": "{str(self.A)}", "x": "{str(self.x)}", '
+            f'"y": "{str(self.y)}", "z": "{str(self.z)}"{_JSON_TAG[classification]}}}'
         )
+
+    @classmethod
+    def _of_checked(
+        cls, t: Fraction, A: Fraction, x: Fraction, y: Fraction, z: Fraction
+    ) -> "IdentityTuple":
+        """A tuple from five ``Fraction``s, unchecked: the caller has made
+        sure that t is nonzero and no other entry is 0, 1 or -1."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "z", z)
+        return self
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "IdentityTuple":

@@ -9,6 +9,10 @@ the products stay below ~1e14, far inside int64.
 ``discover_reference`` is the seeded search as it was written with
 ``Random.randint`` and a ``Fraction`` k per draw, tested with
 ``construct._cleared``.
+
+``is_prime_reference`` is ``exact.is_prime`` as it was before it chose its
+Miller-Rabin bases by the size of n: all 12 bases up to 37 on every n that
+passes trial division, base 41 too from psi_12 on, then the strong Lucas step.
 """
 
 import random
@@ -19,6 +23,11 @@ import numpy as np
 
 from ramid import IdentityTuple, build_tuple, normalize_tuple, verify_tuple
 from ramid.construct import _cleared
+from ramid.exact import _strong_lucas
+
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PSI_12 = 318665857834031151167461
+_PSI_13 = 3317044064679887385961981
 
 
 def _pair_arrays(limit: int):
@@ -101,3 +110,26 @@ def discover_reference(
         if candidate is not None and verify_tuple(candidate):
             found.add(normalize_tuple(candidate))
     return sorted(found)
+
+
+def is_prime_reference(n: int) -> bool:
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _SMALL_PRIMES if n < _PSI_12 else _SMALL_PRIMES + (41,):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return n < _PSI_13 or _strong_lucas(n)

@@ -3,13 +3,18 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ramid
 from conftest import signed_tuples, variations
 from ramid import (
     IdentityTuple,
@@ -260,3 +265,40 @@ def test_discover_takes_a_negative_t(capsys):
     assert main(["discover", "--seed", "1", "--trials", "2000", "--t", "-15/16"]) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
     assert lines and all(json.loads(line)["t"] == "-15/16" for line in lines)
+
+
+NOTEBOOK_ARGV = ["verify", "--t", "2", "--A", "3", "--x", "7", "--y", "11", "--z", "19"]
+
+
+def run_cli(argv: list[str], stdout, unbuffered: str = "") -> subprocess.CompletedProcess:
+    # ramid in a fresh interpreter, its stdout on the given file or descriptor
+    env = {**os.environ, "PYTHONPATH": str(Path(ramid.__file__).parent.parent),
+           "PYTHONUNBUFFERED": unbuffered}
+    return subprocess.run([sys.executable, "-m", "ramid.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, env=env, timeout=60)
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv", [NOTEBOOK_ARGV, ["enumerate", "--class", "perfect"]], ids=["verify", "enumerate"]
+)
+def test_a_closed_stdout_exits_0_silently(argv, unbuffered):
+    # `ramid ... | head -1`, made deterministic: the reader is gone before
+    # the first write.  Unbuffered, the first print fails; buffered, the
+    # first flush, which for short output is main's own.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = run_cli(argv, write_end, unbuffered)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (EXIT_OK, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_a_full_stdout_exits_2_with_its_message(unbuffered):
+    with open("/dev/full", "w") as full:
+        done = run_cli(NOTEBOOK_ARGV, full, unbuffered)
+    assert done.returncode == EXIT_USAGE
+    assert done.stderr == b"ramid: [Errno 28] No space left on device\n"

@@ -1,5 +1,6 @@
 """Closed-form z, pruning bounds and the exhaustive searches."""
 
+import dataclasses
 import hashlib
 import io
 from fractions import Fraction
@@ -13,6 +14,7 @@ from ramid import (
     EnumerationReport,
     IdentityTuple,
     PreconditionError,
+    TrivialInputError,
     appendix_distinct,
     classify,
     enumerate_super_perfect,
@@ -207,6 +209,42 @@ def test_enumeration_names_a_tuple_that_fails_to_verify():
 
     with pytest.raises(AssertionError, match=r"fails to verify: .*z=Fraction\(20, 1\)"):
         _run_cells([(2, 3)], scan)
+
+
+def test_enumeration_rejects_an_entry_below_2():
+    # The public constructor would reject A = 1; the private one relies on
+    # the scan's ints being checked first.
+    def scan(cell, hits):
+        hits.append((2, 1, 7, 11, 19))
+        return 1
+
+    with pytest.raises(AssertionError, match=r"entry below 2: \(2, 1, 7, 11, 19\)"):
+        _run_cells([(2, 3)], scan)
+
+
+def test_enumerated_tuples_equal_publicly_built_ones(super_perfect_report, perfect_report):
+    for report in (super_perfect_report, perfect_report):
+        built = report.identities
+        public = [
+            IdentityTuple(*map(Fraction, (int(v.t), int(v.A), int(v.x), int(v.y), int(v.z))))
+            for v in built
+        ]
+        assert list(built) == public == sorted(public)
+        assert all(a < b for a, b in zip(built, built[1:]))
+        for identity, reference in zip(built, public):
+            assert hash(identity) == hash(reference)
+            assert repr(identity) == repr(reference)
+            entries = (identity.t, identity.A, identity.x, identity.y, identity.z)
+            assert all(type(v) is Fraction for v in entries)
+    notebook = IdentityTuple(F(2), F(3), F(7), F(11), F(19))
+    assert notebook in perfect_report.identities
+    built = perfect_report.identities[perfect_report.identities.index(notebook)]
+    # replace goes through the public constructor and its checks
+    with pytest.raises(TrivialInputError):
+        dataclasses.replace(built, A=F(1))
+    with pytest.raises(PreconditionError):
+        dataclasses.replace(built, z=19.0)
+    assert dataclasses.replace(built, z=20).z == F(20)
 
 
 def _super_candidates(cell):

@@ -6,9 +6,10 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from brute import is_prime_reference
 from conftest import FIELDS
 from ramid import (
     IncompatibleFieldError,
@@ -193,17 +194,41 @@ def test_integer_helpers_reject_non_ints(function, n):
         function(n)
 
 
-PSI_12 = 318665857834031151167461  # strong pseudoprime to the bases 2..37
+PSI_4 = 3215031751  # strong pseudoprime to the bases 2, 3, 5 and 7
+PSI_9 = 3825123056546413051  # ... to the bases 2..23
+PSI_12 = 318665857834031151167461  # ... to the bases 2..37
 PSI_13 = 3317044064679887385961981  # ... and to 41
 
 
 def test_is_prime_past_the_miller_rabin_bounds():
+    assert not is_prime(PSI_4)  # needs base 11
+    assert not is_prime(PSI_9)  # needs base 29 or more
     assert not is_prime(PSI_12)  # needs base 41
     assert not is_prime(PSI_13)  # needs the strong Lucas step
     mersenne = [2**e - 1 for e in (61, 89, 107, 127, 521)]
     assert all(is_prime(p) for p in mersenne)
     assert not is_prime(mersenne[1] * mersenne[2])
     assert not is_prime(mersenne[3] ** 2)
+
+
+def test_is_prime_matches_a_sieve_below_10_5():
+    sieve = bytearray([1]) * 10**5
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(10**5 - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, 10**5, p)))
+    primes = list(itertools.compress(range(10**5), sieve))
+    assert [n for n in range(10**5) if is_prime(n)] == primes
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(3, 23).flatmap(lambda k: st.integers(10**k, 10 ** (k + 1) - 1)))
+@example(PSI_4)
+@example(PSI_9)
+def test_is_prime_agrees_with_the_twelve_base_test(n):
+    # odd n of 4 to 24 digits, on both sides of each base-set bound
+    n |= 1
+    assert is_prime(n) == is_prime_reference(n)
 
 
 def test_strong_lucas_pseudoprimes_are_the_known_ones():
