@@ -45,6 +45,14 @@ gamma and beta to G/M and B/M with M the lcm of their denominators: none when
 N < 0, (G +- isqrt(N)) / (2M) when N is a square, and otherwise
 G/(2M) +- (s/(2M)) sqrt(f), where N = s^2 f with f squarefree.
 
+``build_tuple`` reads the same roots from its own integers, without clearing
+gamma and beta again.  Divide G, B and M by c = gcd(G, B, M), and N by c^2.
+The reduced M/c is the lcm of the reduced denominators of gamma and beta: a
+prime power p^e exactly dividing M/c cannot divide both G/c and B/c, so p^e
+exactly divides the denominator of gamma or of beta.  Hence the reduced
+triple is the one ``solve_roots`` clears to, its N is the same, and so are
+the roots, surds included.
+
 The inverse direction recovers k = (xy - (x+y) + 1) / (2 A^2 (z+1)) and
 accepts it only if the companion equation
 xy + (x+y) + 1 = 2 k t (A^2-1)(z-1) holds exactly.
@@ -55,7 +63,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from .errors import TrivialInputError
 from .exact import Surd, _clear_pair, as_rational, squarefree_decompose
@@ -153,10 +161,19 @@ def _cleared(
 def solve_roots(gamma: Fraction, beta: Fraction) -> RootPair:
     """Roots of X^2 - gamma X + beta, read from the integer N of the module
     docstring: a rational pair (larger first), a conjugate surd pair over the
-    squarefree part of N, or none when N is negative."""
+    squarefree part of N, or none when N is negative.
+
+    Surd roots need the squarefree part of N, which comes from factoring N
+    (``squarefree_decompose``), so their cost grows with N's largest prime
+    factors; the rational and negative cases need only ``isqrt``."""
     gamma, beta = as_rational("gamma", gamma), as_rational("beta", beta)
     g, b, m = _clear_pair(gamma, beta)
-    n = g * g - 4 * b * m
+    return _roots(g, b, m, g * g - 4 * b * m)
+
+
+def _roots(g: int, b: int, m: int, n: int) -> RootPair:
+    # solve_roots for gamma = g/m and beta = b/m, with m > 0 the lcm of their
+    # reduced denominators and n = g^2 - 4bm; the inputs are not checked.
     if n < 0:
         return RootPair("none")
     r, m2 = isqrt(n), 2 * m
@@ -187,7 +204,8 @@ def build_tuple(
         one_minus_gamma_plus_beta_nonzero=m - g + b != 0,
         minus_one_not_root=m + g + b != 0,
     )
-    roots = solve_roots(gamma, beta)
+    c = gcd(g, b, m)  # dividing by c gives solve_roots' integers (module docstring)
+    roots = _roots(g // c, b // c, m // c, n // (c * c))
     disc = Fraction(n, m * m)
     return ConstructionResult(t, A, z, k, gamma, beta, disc, roots, conditions)
 

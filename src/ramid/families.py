@@ -8,6 +8,13 @@ reports as ``FamilyDomainError``.  Rebak and the low surd family have narrow
 windows where the right-side product is negative, so the equation fails
 though both sides square to the same value; the generators still construct
 those objects and verification reports False (tests pin the windows).
+
+``discover`` samples (A, z, k) from a seeded ``random.Random``.  It draws
+each integer inline from ``getrandbits`` by the rejection rule of
+``Random._randbelow_with_getrandbits``, with no replay helper, so a seed's
+draws are those of ``Random.randint``.  A draw whose integer N of
+``construct`` is a square goes through ``build_tuple``, ``identity()``,
+``verify_tuple`` and ``normalize_tuple``; every other draw stays in ints.
 """
 
 from __future__ import annotations
@@ -116,27 +123,18 @@ def surd_family_low(a: Fraction) -> VariationIdentity:
 
 def normalize_tuple(identity: IdentityTuple) -> IdentityTuple:
     """Canonical representative: A replaced by |A| (only A^2 enters the
-    identity) and x, y, z in ascending order."""
-    return IdentityTuple(
-        identity.t, abs(identity.A), *sorted((identity.x, identity.y, identity.z))
-    )
-
-
-def _randint_replay(getrandbits, lo: int, hi: int):
-    """A draw function equal, draw for draw, to ``Random.randint(lo, hi)`` of
-    the generator whose ``getrandbits`` is given: lo + r, with r redrawn from
-    ``getrandbits(n.bit_length())`` until r < n = hi - lo + 1, as CPython's
-    ``_randbelow_with_getrandbits`` does (3.10 to 3.13)."""
-    n = hi - lo + 1
-    bits = n.bit_length()
-
-    def draw() -> int:
-        r = getrandbits(bits)
-        while r >= n:
-            r = getrandbits(bits)
-        return lo + r
-
-    return draw
+    identity) and x, y, z in ascending order.  The entries of a valid tuple
+    stay valid under both, so the result skips the constructor's checks."""
+    A, x, y, z = identity.A, identity.x, identity.y, identity.z
+    if A < 0:
+        A = -A
+    if y < x:
+        x, y = y, x
+    if z < y:
+        y, z = z, y
+        if y < x:
+            x, y = y, x
+    return IdentityTuple._of_checked(identity.t, A, x, y, z)
 
 
 def discover(
@@ -158,10 +156,13 @@ def discover(
     The draws stay in ints.  (P, Q, D) of ``construct`` is computed once per
     A, on A's first draw, and a draw (A, z, p/m) tests
     N = G^2 - 4 B M with M = m D, G = p (P z - Q) and B = p (Q z - P) - M, k
-    left unreduced.  The integers come from ``_randint_replay``, which
-    consumes the generator exactly as ``Random.randint`` does, so a seed
-    gives the hits it gave with ``randint``.  The replay goes when the
-    random draws give way to a deterministic scan of the box.
+    left unreduced.  Each integer of a range of size n is drawn inline as
+    lo + r, with r = getrandbits(n.bit_length()) redrawn while r >= n: the
+    rule of ``Random._randbelow_with_getrandbits`` (CPython 3.10 to 3.13), so
+    the generator is consumed exactly as by ``Random.randint`` and a seed
+    gives the hits it gave with ``randint``.  A square-N draw is a hit when
+    ``build_tuple(t, A, z, p/m).identity()`` exists and ``verify_tuple``
+    accepts it; ``normalize_tuple`` then gives its canonical form.
     """
     if require_int("trials", trials) <= 0:
         raise ConfigurationError(f"trials must be positive (got {trials})")
@@ -179,22 +180,38 @@ def discover(
         raise ConfigurationError("t must be nonzero")
 
     rng = random.Random(seed)
-    draw_a, draw_z, draw_m, draw_p = (
-        _randint_replay(rng.getrandbits, lo, hi)
-        for lo, hi in (a_range, z_range, (1, k_den_max), (-k_den_max, k_den_max))
-    )
-    uniform = rng.random
+    bits, uniform = rng.getrandbits, rng.random
+    # Each range as (lo, size n, n.bit_length()) for the inline draws.
+    a_lo, a_n = a_range[0], a_range[1] - a_range[0] + 1
+    z_lo, z_n = z_range[0], z_range[1] - z_range[0] + 1
+    m_n, p_n = k_den_max, 2 * k_den_max + 1
+    a_k, z_k, m_k, p_k = (n.bit_length() for n in (a_n, z_n, m_n, p_n))
     table: dict[int, tuple[int, int, int]] = {}
     found: set[IdentityTuple] = set()
     for _ in range(trials):
-        A = draw_a()
-        z = draw_z()
+        r = bits(a_k)
+        while r >= a_n:
+            r = bits(a_k)
+        A = a_lo + r
+        r = bits(z_k)
+        while r >= z_n:
+            r = bits(z_k)
+        z = z_lo + r
         if A in (0, 1, -1) or z in (0, 1, -1):
             continue
-        m = draw_m()
-        p = 1 if uniform() < 0.5 else draw_p()
-        if p == 0:
-            continue
+        r = bits(m_k)
+        while r >= m_n:
+            r = bits(m_k)
+        m = 1 + r
+        if uniform() < 0.5:
+            p = 1
+        else:
+            r = bits(p_k)
+            while r >= p_n:
+                r = bits(p_k)
+            p = r - k_den_max
+            if p == 0:
+                continue
         if A not in table:
             table[A] = _coefficients(t, A)
         P, Q, D = table[A]

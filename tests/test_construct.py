@@ -7,7 +7,7 @@ from itertools import permutations
 from math import isqrt
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import float_agrees
@@ -176,6 +176,21 @@ def test_surd_roots_decompose_the_discriminant_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_build_tuple_decomposes_the_n_of_solve_roots(monkeypatch):
+    # G, B and M share the factor 3 here; build_tuple divides it out first.
+    seen = []
+
+    def recorded(n):
+        seen.append(n)
+        return squarefree_decompose(n)
+
+    monkeypatch.setattr("ramid.construct.squarefree_decompose", recorded)
+    result = build_tuple(F(2), F(4), F(11), F(1, 3))
+    solve_roots(result.gamma, result.beta)
+    assert result.roots.kind == "surd"
+    assert len(seen) == 2 and seen[0] == seen[1]
+
+
 def test_negative_discriminant_reported_not_raised():
     result = build_tuple(F(2), F(3), F(2), F(1, 2))
     assert result.discriminant < 0
@@ -329,6 +344,26 @@ def test_n_is_a_square_exactly_when_the_roots_are_rational(inputs):
         assert identity.radicand() == identity.rhs_product() ** 2
         if verify_tuple(identity):
             assert float_agrees(identity)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_construction_inputs())
+@example((F(2), F(3), F(19), F(1, 6)))  # rational, gcd(G, B, M) = 6
+@example((F(2), F(4), F(11), F(1, 3)))  # surd, gcd(G, B, M) = 3
+@example((F(15, 16), F(2), F(17), F(1, 2)))  # none, gcd(G, B, M) = 16
+@example((F(2), F(3), F(2), F(1, 2)))  # none, gcd(G, B, M) = 1
+def test_build_tuple_roots_equal_solve_roots(inputs):
+    # build_tuple reads its roots from its own reduced integers; they must be
+    # solve_roots' roots for its gamma and beta, down to each Surd's field.
+    result = build_tuple(*inputs)
+    expected = solve_roots(result.gamma, result.beta)
+    assert result.roots == expected
+    assert result.roots.to_json_dict() == expected.to_json_dict()
+    if expected.kind == "surd":
+        for got, want in zip(result.roots.surd, expected.surd):
+            assert (got.p, got.q, got.d) == (want.p, want.q, want.d)
+    elif expected.kind == "rational":
+        assert all(type(v) is Fraction for v in result.roots.rational)
 
 
 @st.composite

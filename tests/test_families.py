@@ -42,7 +42,7 @@ from ramid import (
     verify_tuple,
     verify_variation,
 )
-from ramid.families import _randint_replay, generate
+from ramid.families import generate
 
 F = Fraction
 
@@ -446,27 +446,15 @@ def _ranges(bound: int):
 @example(seed=1, t=F(2), a_range=(2, 6), z_range=(-50, 50), k_den_max=12)
 @example(seed=5, t=F(-7, 3), a_range=(-6, 6), z_range=(-1, 20), k_den_max=5)
 @example(seed=2, t=F(15, 16), a_range=(3, 3), z_range=(-8, 7), k_den_max=1)
+@example(seed=4, t=F(3), a_range=(-4, 5), z_range=(-6, -6), k_den_max=7)
+# p ranges over 2^32 + 1 values, so getrandbits(33) returns more than one word.
+@example(seed=3, t=F(2), a_range=(2, 6), z_range=(-50, 50), k_den_max=2**31)
+# z ranges over 2^64 values, drawn with getrandbits(65).
+@example(seed=6, t=F(2), a_range=(2, 6), z_range=(-(2**63), 2**63 - 1), k_den_max=12)
 def test_discover_equals_the_randint_reference(seed, t, a_range, z_range, k_den_max):
     kwargs = dict(seed=seed, trials=300, t=t, a_range=a_range, z_range=z_range,
                   k_den_max=k_den_max)
     assert discover(**kwargs) == discover_reference(**kwargs)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    seed=st.integers(0, 2**64),
-    lo=st.integers(-(10**6), 10**6),
-    size=st.one_of(
-        st.sampled_from([1, 2, 3, 4, 7, 8, 9, 16, 2**31, 2**32, 2**32 + 1, 2**64]),
-        st.integers(1, 10**9),
-    ),
-)
-def test_randint_replay_equals_randint_draw_for_draw(seed, lo, size):
-    hi = lo + size - 1
-    expected, replayed = random.Random(seed), random.Random(seed)
-    draw = _randint_replay(replayed.getrandbits, lo, hi)
-    assert [draw() for _ in range(200)] == [expected.randint(lo, hi) for _ in range(200)]
-    assert replayed.getstate() == expected.getstate()
 
 
 def test_discover_rejects_bad_config():
@@ -485,6 +473,38 @@ def test_normalize_tuple():
     assert normalize_tuple(identity) == IdentityTuple(
         F(2), F(3), F(-19), F(7), F(11)
     )
+
+
+_ENTRIES = st.builds(F, st.integers(-30, 30), st.integers(1, 6)).filter(
+    lambda v: v not in (0, 1, -1)
+)
+
+
+@st.composite
+def _valid_tuples(draw):
+    """Tuples that pass the public checks, with equal x, y, z entries common."""
+    t = draw(st.builds(F, st.integers(-30, 30).filter(bool), st.integers(1, 6)))
+    entries = [draw(_ENTRIES)]
+    for _ in range(2):
+        entries.append(draw(st.one_of(st.sampled_from(entries), _ENTRIES)))
+    order = draw(st.permutations(entries))
+    return IdentityTuple(t, draw(_ENTRIES), *order)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_valid_tuples())
+@example(IdentityTuple(F(-1, 2), F(-5, 3), F(7, 2), F(-2), F(7, 2)))
+@example(IdentityTuple(F(3), F(2), F(5), F(5), F(5)))
+def test_normalize_tuple_equals_the_public_constructor(identity):
+    got = normalize_tuple(identity)
+    want = IdentityTuple(identity.t, abs(identity.A),
+                         *sorted((identity.x, identity.y, identity.z)))
+    assert got == want
+    assert hash(got) == hash(want)
+    assert repr(got) == repr(want)
+    assert all(type(v) is Fraction for v in (got.t, got.A, got.x, got.y, got.z))
+    again = normalize_tuple(got)
+    assert again == got and repr(again) == repr(got)
 
 
 def _family_render_calls():
