@@ -21,6 +21,7 @@ from .enumeration import (
 )
 from .errors import (
     ConfigurationError,
+    FactoringLimitError,
     FamilyDomainError,
     IncompatibleFieldError,
     PreconditionError,

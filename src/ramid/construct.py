@@ -165,7 +165,9 @@ def solve_roots(gamma: Fraction, beta: Fraction) -> RootPair:
 
     Surd roots need the squarefree part of N, which comes from factoring N
     (``squarefree_decompose``), so their cost grows with N's largest prime
-    factors; the rational and negative cases need only ``isqrt``."""
+    factors; the rational and negative cases need only ``isqrt``.  No search
+    calls it; it stays public as the reference the tests hold the roots of
+    ``build_tuple`` to, and the benchmark's tracer counts its calls."""
     gamma, beta = as_rational("gamma", gamma), as_rational("beta", beta)
     g, b, m = _clear_pair(gamma, beta)
     return _roots(g, b, m, g * g - 4 * b * m)

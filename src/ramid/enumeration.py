@@ -92,13 +92,13 @@ def solve_z(t: Fraction | int, A: int, x: int, y: int) -> int | None:
     ints and t an int or a ``Fraction``; floats are rejected.
 
     None covers both a non-integral completion and an integral one below 2,
-    such as z = -27 for (2, 2, 6, 14).
+    such as z = -27 for (2, 2, 6, 14).  No search calls it; it stays public
+    as the reference the tests hold the cell scans' inline completion to, and
+    the benchmark's tracer counts its calls.
     """
-    if not (type(A) is type(x) is type(y) is int):
-        for name, value in (("A", A), ("x", x), ("y", y)):
-            require_int(name, value)
-    if type(t) is not int:  # an int has numerator t and denominator 1
-        t = as_rational("t", t)
+    for name, value in (("A", A), ("x", x), ("y", y)):
+        require_int(name, value)
+    t = as_rational("t", t)
     n = t.numerator * (A * A - 1) * (x - 1) * (y - 1)
     d = t.denominator * A * A * (x + 1) * (y + 1)
     if n <= d:

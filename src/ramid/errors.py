@@ -23,3 +23,7 @@ class PreconditionError(RamidError):
 
 class ConfigurationError(RamidError):
     """A search was configured with empty ranges or a nonpositive trial count."""
+
+
+class FactoringLimitError(RamidError):
+    """A factorization found no factor within its fixed step bound."""

@@ -9,12 +9,10 @@ windows where the right-side product is negative, so the equation fails
 though both sides square to the same value; the generators still construct
 those objects and verification reports False (tests pin the windows).
 
-``discover`` samples (A, z, k) from a seeded ``random.Random``.  It draws
-each integer inline from ``getrandbits`` by the rejection rule of
-``Random._randbelow_with_getrandbits``, with no replay helper, so a seed's
-draws are those of ``Random.randint``.  A draw whose integer N of
-``construct`` is a square goes through ``build_tuple``, ``identity()``,
-``verify_tuple`` and ``normalize_tuple``; every other draw stays in ints.
+``discover`` samples (A, z, k) from a seeded ``random.Random``, as
+``Random.randint`` draws them, and tests each draw by the integer N test of
+``construct``; a square-N draw goes through ``build_tuple``, ``identity()``,
+``verify_tuple`` and ``normalize_tuple``, and every other draw stays in ints.
 """
 
 from __future__ import annotations

@@ -116,10 +116,10 @@ class IdentityTuple:
             t, A, x, y, z = self.t, self.A, self.x, self.y, self.z
         if t == 0:
             raise TrivialInputError("t must be nonzero")
-        for value in (A, x, y, z):
-            if value.numerator in (0, 1, -1) and value.denominator == 1:
-                name = "Axyz"[(A, x, y, z).index(value)]  # no earlier entry equals it
-                raise TrivialInputError(f"{name} must not be 0, 1 or -1 (got {value})")
+        _check_nontrivial("A", A)
+        _check_nontrivial("x", x)
+        _check_nontrivial("y", y)
+        _check_nontrivial("z", z)
 
     def radicand(self) -> Fraction:
         r = self.t
@@ -316,20 +316,6 @@ class VariationIdentity:
         return cls.from_json_dict(json.loads(text))
 
     @classmethod
-    def _of_canonical(
-        cls,
-        scale: Fraction,
-        radicand_entries: tuple[Surd, ...],
-        rhs_entries: tuple[tuple[Surd, int], ...],
-    ) -> "VariationIdentity":
-        """A variation from fields already in canonical form, unchecked."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "radicand_entries", radicand_entries)
-        object.__setattr__(self, "rhs_entries", rhs_entries)
-        return self
-
-    @classmethod
     def from_tuple(cls, identity: IdentityTuple) -> "VariationIdentity":
         """``cls(t, (A, x, y, z), ((x, 1), (y, 1), (z, 1)))``, built directly.
 
@@ -351,11 +337,13 @@ class VariationIdentity:
             if key not in surds:
                 surds[key] = Surd._field(v if n > 0 else -v, _ZERO, 0)
             keys.append((key, -1 if n > 0 else 1))
-        return cls._of_canonical(
-            identity.t,
-            tuple([surds[key] for key, _ in sorted(keys)]),
-            tuple([(surds[key], -m) for key, m in sorted(keys[1:])]),
-        )
+        radicand = tuple([surds[key] for key, _ in sorted(keys)])
+        rhs = tuple([(surds[key], -m) for key, m in sorted(keys[1:])])
+        self = object.__new__(cls)  # the fields are canonical: no __post_init__
+        object.__setattr__(self, "scale", identity.t)
+        object.__setattr__(self, "radicand_entries", radicand)
+        object.__setattr__(self, "rhs_entries", rhs)
+        return self
 
 
 def _times(x: tuple[int, int], y: tuple[int, int], f: int) -> tuple[int, int]:

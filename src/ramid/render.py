@@ -32,8 +32,8 @@ def _latex_surd(value: Surd) -> str:
     q = abs(value.q)
     coeff = "" if q == 1 else _latex_rational(q)
     tail = f"{coeff}{root}"
-    if value.p == 0:
-        return tail if value.q > 0 else f"-{tail}"
+    if value.p == 0:  # every entry rendered is canonical, so positive: q > 0
+        return tail
     op = "+" if value.q > 0 else "-"
     return f"{_latex_rational(value.p)}{op}{tail}"
 

@@ -1,6 +1,7 @@
 """The command-line front end: exit codes and one-line messages, no tracebacks."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -37,6 +38,13 @@ def render(monkeypatch, line: str, fmt: str = "json", *flags: str) -> int:
 def test_render_round_trips_a_tuple(monkeypatch, capsys):
     assert render(monkeypatch, json.dumps(NOTEBOOK)) == EXIT_OK
     assert json.loads(capsys.readouterr().out) == {**NOTEBOOK, "class": "prime"}
+
+
+def test_render_skips_blank_lines(monkeypatch, capsys):
+    assert render(monkeypatch, f"\n  \n{json.dumps(NOTEBOOK)}\n\t") == EXIT_OK
+    out, err = capsys.readouterr()
+    assert [json.loads(line) for line in out.splitlines()] == [{**NOTEBOOK, "class": "prime"}]
+    assert err == ""
 
 
 @pytest.mark.parametrize(
@@ -189,6 +197,37 @@ def test_enumerate_super_perfect(capsys):
     assert len(out) == 3 and all('"class": "prime"' in line for line in out)
 
 
+# Per class: count, candidates examined and the sha256 of the JSON lines.
+ENUMERATED = {
+    "perfect": (309, 1527, "1c6ef47ae6142cb00796c9942e2bf54d1d50529e70c7075c8ee1c4d90c1817e5"),
+    "super-perfect": (39, 100, "67af4abd32426046619fc746f18057acd3506b12f8bf7634b798e737301cb0d2"),
+}
+
+
+def _counts(summary: str) -> tuple[int, int]:
+    data = json.loads(summary)
+    return data["count"], data["candidates_examined"]
+
+
+@pytest.mark.parametrize("klass", ENUMERATED)
+def test_enumerate_writes_its_lines_to_stdout(capsys, klass):
+    count, examined, digest = ENUMERATED[klass]
+    assert main(["enumerate", "--class", klass]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert _counts(err) == (count, examined)
+
+
+@pytest.mark.parametrize("klass", ENUMERATED)
+def test_enumerate_writes_its_lines_to_the_out_file(capsys, tmp_path, klass):
+    count, examined, digest = ENUMERATED[klass]
+    path = tmp_path / f"{klass}.jsonl"
+    assert main(["enumerate", "--class", klass, "--out", str(path)]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    assert _counts(out) == (count, examined) and err == ""
+
+
 @pytest.mark.parametrize("a", [["--a", "-9/4"], ["--a=-9/4"]], ids=["separate", "joined"])
 def test_family_takes_a_negative_fraction(capsys, a):
     assert main(["family", "surd-low", *a]) == EXIT_OK
@@ -270,12 +309,14 @@ def test_discover_takes_a_negative_t(capsys):
 NOTEBOOK_ARGV = ["verify", "--t", "2", "--A", "3", "--x", "7", "--y", "11", "--z", "19"]
 
 
-def run_cli(argv: list[str], stdout, unbuffered: str = "") -> subprocess.CompletedProcess:
+def run_cli(
+    argv: list[str], stdout, unbuffered: str = "", stdin: bytes = b""
+) -> subprocess.CompletedProcess:
     # ramid in a fresh interpreter, its stdout on the given file or descriptor
     env = {**os.environ, "PYTHONPATH": str(Path(ramid.__file__).parent.parent),
            "PYTHONUNBUFFERED": unbuffered}
-    return subprocess.run([sys.executable, "-m", "ramid.cli", *argv], stdout=stdout,
-                          stderr=subprocess.PIPE, env=env, timeout=60)
+    return subprocess.run([sys.executable, "-m", "ramid.cli", *argv], input=stdin,
+                          stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60)
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
@@ -302,3 +343,27 @@ def test_a_full_stdout_exits_2_with_its_message(unbuffered):
         done = run_cli(NOTEBOOK_ARGV, full, unbuffered)
     assert done.returncode == EXIT_USAGE
     assert done.stderr == b"ramid: [Errno 28] No space left on device\n"
+
+
+# A surd whose squarefree part needs two primes near 10^29 and 10^30 split apart.
+UNFACTORABLE_RECORD = json.dumps(
+    {"scale": "1", "radicand": [f"1 + 1*sqrt({(10**29 + 319) * (10**30 + 57)})"], "rhs": []}
+)
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (["solve", "--t", "2", "--A", "3", "--z", str(10**31 + 57), "--k", "1/7"], b""),
+        (["render", "--format", "text"], UNFACTORABLE_RECORD.encode() + b"\n"),
+    ],
+    ids=["solve", "render"],
+)
+def test_a_radicand_past_the_factoring_bound_exits_2(argv, stdin, unbuffered):
+    # Both would hang for hours without the step bound: the surd roots of the
+    # construction need the squarefree part of a 64-digit discriminant too.
+    done = run_cli(argv, subprocess.PIPE, unbuffered, stdin)
+    assert (done.returncode, done.stdout) == (EXIT_USAGE, b"")
+    lines = done.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ramid: cannot factor a ")

@@ -109,8 +109,16 @@ def test_x_interval_t2_a3():
     assert super_x_interval(2, 3) == (4, 10)
 
 
+def test_an_empty_x_interval_gives_an_empty_cell():
+    # A = 100 lies past the last super-perfect A for t = 2: x = 101 fails the cubic bound.
+    assert super_x_interval(2, 100) is None
+    hits = []
+    assert _scan_super_cell((2, 100), hits) == 0 and hits == []
+
+
 def test_y_interval_t2_a3_x4():
     assert super_y_interval(2, 3, 4) == (32, 61)
+    assert super_y_interval(2, 3, 2) is None  # m = 16/27 <= 1
 
 
 def test_y_interval_bounds_are_sharp():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from brute import is_prime_reference
 from conftest import FIELDS
 from ramid import (
+    FactoringLimitError,
     IncompatibleFieldError,
     PreconditionError,
     Surd,
@@ -28,7 +29,7 @@ from ramid import (
     surd_family_high,
     surd_family_low,
 )
-from ramid.exact import _factor, _strong_lucas, is_prime
+from ramid.exact import _RHO_STEPS, _factor, _pollard_rho, _strong_lucas, is_prime
 
 F = Fraction
 
@@ -95,6 +96,29 @@ def test_squarefree_decompose_large_semiprime():
     p, q = 1000003, 1000033
     f, s = squarefree_decompose(p * p * q)
     assert (f, s) == (q, p)
+
+
+# Two primes near 10^29 and 10^30: Pollard rho would need about 10^14 steps.
+UNFACTORABLE = (10**29 + 319) * (10**30 + 57)
+
+
+def test_pollard_rho_stops_at_its_step_bound():
+    message = f"^cannot factor a 196-bit number in {_RHO_STEPS} steps$"
+    with pytest.raises(FactoringLimitError, match=message):
+        _pollard_rho(UNFACTORABLE)
+    with pytest.raises(FactoringLimitError, match=message):
+        squarefree_decompose(UNFACTORABLE)
+    with pytest.raises(FactoringLimitError, match=message):
+        Surd(1, 1, UNFACTORABLE)
+
+
+def test_pollard_rho_raises_the_same_error_when_every_restart_fails(monkeypatch):
+    # With gcd always n, each of the 99 values of c meets d = n at its first step.
+    calls = []
+    monkeypatch.setattr("ramid.exact.gcd", lambda a, n: calls.append(a) or n)
+    with pytest.raises(FactoringLimitError, match="^cannot factor a 25-bit number"):
+        _pollard_rho(4099 * 4111)
+    assert len(calls) == 99
 
 
 def test_squarefree_decompose_tests_a_composite_cofactor_once(monkeypatch):
@@ -486,6 +510,10 @@ def test_surd_normalize_function():
 def test_surd_rejects_negative_radicand():
     with pytest.raises(ValueError):
         Surd(0, 1, -2)
+    with pytest.raises(ValueError, match="^radicand must be nonnegative$"):
+        squarefree_decompose(-1)
+    with pytest.raises(ValueError, match="^square root of a negative rational$"):
+        Surd.sqrt_rational(F(-1, 4))
 
 
 def test_surd_fields_keep_their_invariants():

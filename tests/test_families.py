@@ -370,6 +370,11 @@ def test_generate_takes_exactly_the_family_parameters(params):
         generate("rebak", params)
 
 
+def test_generate_rejects_an_unknown_family():
+    with pytest.raises(FamilyDomainError, match="^unknown family 'no-such'; expected one of"):
+        generate("no-such", {})
+
+
 def test_discover_finds_search_identity():
     found = discover(seed=1, trials=20000, t=F(15, 16),
                      a_range=(2, 6), z_range=(-10, 20), k_den_max=10)
@@ -466,6 +471,8 @@ def test_discover_rejects_bad_config():
         discover(seed=1, trials=10, t=F(2), z_range=(0, 1))
     with pytest.raises(ConfigurationError):
         discover(seed=1, trials=10, t=F(2), k_den_max=0)
+    with pytest.raises(ConfigurationError, match="^t must be nonzero$"):
+        discover(seed=1, trials=10, t=F(0))
 
 
 def test_normalize_tuple():

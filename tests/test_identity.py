@@ -253,6 +253,11 @@ def test_variation_rejects_zero_radicand_entry():
         variation(1, [0, 11], [(9, 1)])
 
 
+def test_variation_rejects_zero_scale():
+    with pytest.raises(TrivialInputError, match="^scale must be nonzero$"):
+        VariationIdentity(scale=0, radicand_entries=(9, 11), rhs_entries=((9, 1),))
+
+
 def test_variation_rejects_mixed_fields():
     r2, r3 = Surd(0, 1, 2), Surd(0, 1, 3)
     for radicand, rhs in [
@@ -508,3 +513,20 @@ def test_renders_of_a_tuple_skip_the_general_canonicalizer(monkeypatch):
     assert calls == []
     VariationIdentity(2, (3, 7, 11, 19), ((7, 1), (11, 1), (19, 1)))
     assert len(calls) == 2  # the counter sees the general constructor
+
+
+def test_renders_of_entries_with_no_rational_part():
+    # sqrt(17/18 (1 - 1/18)) = (1 + 1/(3 sqrt 2))(1 - 1/(3 sqrt 2)), with
+    # v = 0 + 3*sqrt(2) parsed, so that v has p = 0.
+    v = "0 + 3*sqrt(2)"
+    record = {"scale": "17/18", "radicand": [v], "rhs": [[v, "+"], [v, "-"]]}
+    identity = VariationIdentity.from_json(json.dumps(record))
+    assert identity.radicand_entries[0].p == 0 and verify_variation(identity)
+    latex = r"3\sqrt{2}"
+    assert render_latex(identity) == (
+        rf"\sqrt{{\frac{{17}}{{18}}\left(1-\frac{{1}}{{\left({latex}\right)^2}}\right)}} = "
+        rf"\left(1+\frac{{1}}{{{latex}}}\right)\left(1-\frac{{1}}{{{latex}}}\right)"
+    )
+    assert render_text(identity) == (
+        f"sqrt(17/18 * (1 - 1/({v})^2)) = (1 + 1/({v})) * (1 - 1/({v}))"
+    )
