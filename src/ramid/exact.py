@@ -6,6 +6,11 @@ here.  ``Surd`` represents ``p + q*sqrt(d)`` with rational ``p``, ``q`` and a
 squarefree integer radicand ``d``, so equality and hashing are structural;
 arithmetic results keep their operands' normalized field.  Immutable: the
 fields are set once, through the slot descriptors, when a ``Surd`` is built.
+A radicand is made squarefree by ``squarefree_decompose``: one gcd with the
+product of the primes below 4096 finds its small primes, Miller-Rabin with
+the fewest exact bases and Pollard rho split the rest, and a cofactor past
+1,000 bits is refused, so no input factors for minutes.  Its results are
+cached, because every surd literal of a record repeats its field's radicand.
 The literal grammars of ``parse_rational`` and ``parse_surd`` are ASCII only.
 """
 
@@ -13,9 +18,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import cache, total_ordering
+from functools import cache, lru_cache, total_ordering
 from itertools import compress
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 
 from .errors import FactoringLimitError, IncompatibleFieldError, PreconditionError
 
@@ -28,13 +33,27 @@ _SURD_RE = re.compile(
 
 _ZERO = Fraction(0)
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_PSI_4 = 3215031751
-_PSI_9 = 3825123056546413051
-_PSI_12 = 318665857834031151167461
+# (psi_k, k): below psi_k, the least strong pseudoprime to the first k prime
+# bases, those k bases decide primality exactly (psi_8 = psi_7).
+_MILLER_RABIN_BOUNDS = (
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+    (318665857834031151167461, 12),
+)
 _PSI_13 = 3317044064679887385961981
 # Pollard rho's step bound over all restarts.  Test and benchmark radicands
 # need at most 1,680 steps, 13-digit semiprimes up to about 4,000.
 _RHO_STEPS = 1 << 16
+# The largest cofactor, in bits, that squarefree_decompose hands to is_prime
+# and Pollard rho.  Rho's steps cost more as n grows: an unfactorable
+# 999-bit semiprime takes about 1.7 s, a 13,284-bit radicand took minutes.
+_COFACTOR_BITS = 1000
+# Distinct radicands whose decomposition is kept: a record repeats its field's
+# radicand in each surd literal, and a family member repeats it again.
+_DECOMPOSE_CACHE = 64
 
 
 def parse_rational(text: str) -> Fraction:
@@ -75,15 +94,18 @@ def is_prime(n: int) -> bool:
     """Exact primality.  After trial division by the primes up to 37, an n
     below 41^2 = 1681 is prime.  Otherwise Miller-Rabin runs the fewest prime
     bases that are exact for n, psi_k being the least strong pseudoprime to
-    the first k prime bases: 2, 3, 5 and 7 below psi_4 = 3,215,031,751; 2 to
-    23 below psi_9 = 3,825,123,056,546,413,051; 2 to 37 below psi_12 (about
-    3.2e23), and 41 too below psi_13 (about 3.3e24).  psi_4 and the value of
-    psi_9 are from Jaeschke, "On strong pseudoprimes to several bases"
-    (Math. Comp. 61, 1993); psi_12 and psi_13, and psi_9 as the least, are
-    from Sorenson and Webster, "Strong pseudoprimes to twelve prime bases"
-    (2015; Math. Comp. 86, 2017).  From psi_13 on a strong Lucas test
-    follows, which makes it Baillie-PSW, a test with no known counterexample.
-    ``n`` must be an int."""
+    the first k prime bases: 2 to 7 below psi_4 = 3,215,031,751; 2 to 11
+    below psi_5 (about 2.2e12); 2 to 13 below psi_6 (about 3.5e12); 2 to 17
+    below psi_7 = psi_8 (about 3.4e14); 2 to 23 below psi_9 =
+    3,825,123,056,546,413,051; 2 to 37 below psi_12 (about 3.2e23), and 41
+    too below psi_13 (about 3.3e24).  So the 10- to 15-digit cofactors of
+    13-digit radicands take 5 to 7 bases, not 9.  psi_4 to psi_8 and the
+    value of psi_9 are from Jaeschke, "On strong pseudoprimes to several
+    bases" (Math. Comp. 61, 1993); psi_12 and psi_13, and psi_9 as the
+    least, are from Sorenson and Webster, "Strong pseudoprimes to twelve
+    prime bases" (2015; Math. Comp. 86, 2017).  From psi_13 on a strong
+    Lucas test follows, which makes it Baillie-PSW, a test with no known
+    counterexample.  ``n`` must be an int."""
     if require_int("n", n) < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -95,12 +117,12 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    if n < _PSI_4:
-        bases = _SMALL_PRIMES[:4]
-    elif n < _PSI_9:
-        bases = _SMALL_PRIMES[:9]
+    for bound, k in _MILLER_RABIN_BOUNDS:
+        if n < bound:
+            bases = _SMALL_PRIMES[:k]
+            break
     else:
-        bases = _SMALL_PRIMES if n < _PSI_12 else _SMALL_PRIMES + (41,)
+        bases = _SMALL_PRIMES + (41,)
     for a in bases:
         x = pow(a, d, n)
         if x in (1, n - 1):
@@ -196,31 +218,54 @@ def _trial_primes() -> tuple[int, ...]:
     return tuple(compress(range(n), sieve))
 
 
+@cache
+def _trial_product() -> int:
+    # The product of the trial primes, 5,811 bits.
+    return prod(_trial_primes())
+
+
 def squarefree_decompose(n: int) -> tuple[int, int]:
     """Write ``n = s*s*f`` with ``f`` squarefree; return ``(f, s)``.
 
     ``n`` must be a nonnegative int; ``squarefree_decompose(0) == (0, 1)``.
-    ``FactoringLimitError`` if Pollard rho runs out of steps on a cofactor.
+    The primes below 4096 that divide n are those of ``gcd(n, P)``, P their
+    product, so one gcd replaces up to 564 trial divisions of n.  The
+    cofactor left has no prime factor below 4096; a square is read off by
+    ``isqrt``, anything else is split by Pollard rho.
+    ``FactoringLimitError`` if a cofactor that is not a square has more than
+    1,000 bits (its factoring could take minutes), checked before any prime
+    test, or if rho runs out of steps on it.  The last 64 distinct results
+    are cached, so a radicand repeated within a record or a family member is
+    factored once; an error is not cached, and only ints reach the cache.
     """
     if require_int("n", n) < 0:
         raise ValueError("radicand must be nonnegative")
+    return _squarefree(n)
+
+
+@lru_cache(maxsize=_DECOMPOSE_CACHE)
+def _squarefree(n: int) -> tuple[int, int]:
     if n in (0, 1):
         return n, 1
     f, s = 1, 1
-    # Composites never divide what is left: their prime factors are out by then.
+    g = gcd(n, _trial_product())
+    # g is squarefree: once p * p > g, what is left of it is 1 or a prime.
     for p in _trial_primes():
-        if p * p > n:
+        if p * p > g:
             break
-        while n % (p * p) == 0:
-            n //= p * p
-            s *= p
-        if n % p == 0:
-            n //= p
-            f *= p
+        if g % p == 0:
+            g //= p
+            n, f, s = _divide_out(n, p, f, s)
+    if g > 1:
+        n, f, s = _divide_out(n, g, f, s)
     if n > 1:
         r = isqrt(n)
         if r * r == n:
             s *= r
+        elif n.bit_length() > _COFACTOR_BITS:
+            raise FactoringLimitError(
+                f"cannot factor a {n.bit_length()}-bit number: the limit is {_COFACTOR_BITS} bits"
+            )
         else:
             exponents: dict[int, int] = {}
             _factor(n, exponents)
@@ -229,6 +274,17 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
                 if e % 2:
                     f *= p
     return f, s
+
+
+def _divide_out(n: int, p: int, f: int, s: int) -> tuple[int, int, int]:
+    # Every power of the prime p, which divides n, moved from n into f and s.
+    while n % (p * p) == 0:
+        n //= p * p
+        s *= p
+    if n % p == 0:
+        n //= p
+        f *= p
+    return n, f, s
 
 
 def _clear_pair(p: int | Fraction, q: int | Fraction) -> tuple[int, int, int]:

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -345,10 +346,14 @@ def test_a_full_stdout_exits_2_with_its_message(unbuffered):
     assert done.stderr == b"ramid: [Errno 28] No space left on device\n"
 
 
+def surd_record(d: int) -> bytes:
+    return json.dumps({"scale": "1", "radicand": [f"1 + 1*sqrt({d})"], "rhs": []}).encode() + b"\n"
+
+
 # A surd whose squarefree part needs two primes near 10^29 and 10^30 split apart.
-UNFACTORABLE_RECORD = json.dumps(
-    {"scale": "1", "radicand": [f"1 + 1*sqrt({(10**29 + 319) * (10**30 + 57)})"], "rhs": []}
-)
+UNFACTORABLE_RECORD = surd_record((10**29 + 319) * (10**30 + 57))
+# A random odd 4,000-digit radicand: past the bit bound on what is factored.
+HUGE_RECORD = surd_record(random.Random(4000).randrange(10**3999, 10**4000) | 1)
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
@@ -356,13 +361,15 @@ UNFACTORABLE_RECORD = json.dumps(
     "argv, stdin",
     [
         (["solve", "--t", "2", "--A", "3", "--z", str(10**31 + 57), "--k", "1/7"], b""),
-        (["render", "--format", "text"], UNFACTORABLE_RECORD.encode() + b"\n"),
+        (["render", "--format", "text"], UNFACTORABLE_RECORD),
+        (["render", "--format", "text"], HUGE_RECORD),
     ],
-    ids=["solve", "render"],
+    ids=["solve", "render", "render-4000-digits"],
 )
 def test_a_radicand_past_the_factoring_bound_exits_2(argv, stdin, unbuffered):
-    # Both would hang for hours without the step bound: the surd roots of the
-    # construction need the squarefree part of a 64-digit discriminant too.
+    # The first two would hang for hours without the step bound: the surd
+    # roots of the construction need the squarefree part of a 64-digit
+    # discriminant too.  The third, without the bit bound, took minutes.
     done = run_cli(argv, subprocess.PIPE, unbuffered, stdin)
     assert (done.returncode, done.stdout) == (EXIT_USAGE, b"")
     lines = done.stderr.decode().splitlines()

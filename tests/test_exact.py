@@ -3,7 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -29,7 +29,15 @@ from ramid import (
     surd_family_high,
     surd_family_low,
 )
-from ramid.exact import _RHO_STEPS, _factor, _pollard_rho, _strong_lucas, is_prime
+from ramid.exact import (
+    _RHO_STEPS,
+    _factor,
+    _pollard_rho,
+    _squarefree,
+    _strong_lucas,
+    _trial_primes,
+    is_prime,
+)
 
 F = Fraction
 
@@ -124,10 +132,31 @@ def test_pollard_rho_raises_the_same_error_when_every_restart_fails(monkeypatch)
 def test_squarefree_decompose_tests_a_composite_cofactor_once(monkeypatch):
     # 4099 and 4111 are the first primes past the trial division; the cofactor
     # gets _factor's prime test alone, then each of its factors one more.
+    _squarefree.cache_clear()  # a cached result would make no call
     calls = []
     monkeypatch.setattr("ramid.exact.is_prime", lambda n: calls.append(n) or is_prime(n))
     assert squarefree_decompose(4099 * 4111) == (4099 * 4111, 1)
     assert sorted(calls) == [4099, 4111, 4099 * 4111]
+
+
+# The least primes past 2^999 and 2^1000, of 1,000 and 1,001 bits.
+PRIME_1000_BITS = 2**999 + 1239
+PRIME_1001_BITS = 2**1000 + 297
+
+
+def test_squarefree_decompose_refuses_a_cofactor_past_its_bit_bound(monkeypatch):
+    _squarefree.cache_clear()
+    calls = []
+    monkeypatch.setattr("ramid.exact.is_prime", lambda n: calls.append(n) or is_prime(n))
+    message = "^cannot factor a 1001-bit number: the limit is 1000 bits$"
+    for n in (PRIME_1001_BITS, 6 * 4093**2 * PRIME_1001_BITS):
+        with pytest.raises(FactoringLimitError, match=message):
+            squarefree_decompose(n)
+    assert calls == []  # refused before any prime test
+    # A square cofactor needs no factoring, whatever its size.
+    assert squarefree_decompose(6 * PRIME_1001_BITS**2) == (6, PRIME_1001_BITS)
+    assert squarefree_decompose(PRIME_1000_BITS * 2**21) == (2 * PRIME_1000_BITS, 2**10)
+    assert calls == [PRIME_1000_BITS]
 
 
 def _squarefree_decompose_reference(n):
@@ -199,6 +228,11 @@ def test_squarefree_decompose_across_the_trial_bound():
     for s, f, g in itertools.product(parts, parts, (1, 5, 4091, 4099)):
         n = s * s * f * g
         assert squarefree_decompose(n) == _squarefree_decompose_reference(n), n
+    # One trial prime in a high power, a last prime left in the gcd, and
+    # every trial prime at once.
+    product = prod(_trial_primes())
+    for n in (2**61, 3**40 * 4093**3, product, product**2 * 4099):
+        assert squarefree_decompose(n) == _squarefree_decompose_reference(n), n
 
 
 def test_is_prime_small_and_large():
@@ -213,12 +247,18 @@ def test_is_prime_small_and_large():
 @pytest.mark.parametrize("function", [squarefree_decompose, is_prime])
 def test_integer_helpers_reject_non_ints(function, n):
     # A float or a bool once went through: squarefree_decompose(1e20) gave
-    # (1, 10000000000) and is_prime(1e20 + 1) gave False.
+    # (1, 10000000000) and is_prime(1e20 + 1) gave False.  The equal ints
+    # are decomposed first, so a cached result would be there to return.
+    for m in (0, 1, 97, 10**20):
+        squarefree_decompose(m)
     with pytest.raises(PreconditionError, match="must be an int"):
         function(n)
 
 
 PSI_4 = 3215031751  # strong pseudoprime to the bases 2, 3, 5 and 7
+PSI_5 = 2152302898747  # ... to the bases 2..11
+PSI_6 = 3474749660383  # ... to the bases 2..13
+PSI_7 = 341550071728321  # ... to the bases 2..17, and 19 too
 PSI_9 = 3825123056546413051  # ... to the bases 2..23
 PSI_12 = 318665857834031151167461  # ... to the bases 2..37
 PSI_13 = 3317044064679887385961981  # ... and to 41
@@ -226,6 +266,9 @@ PSI_13 = 3317044064679887385961981  # ... and to 41
 
 def test_is_prime_past_the_miller_rabin_bounds():
     assert not is_prime(PSI_4)  # needs base 11
+    assert not is_prime(PSI_5)  # needs base 13
+    assert not is_prime(PSI_6)  # needs base 17
+    assert not is_prime(PSI_7)  # needs base 23
     assert not is_prime(PSI_9)  # needs base 29 or more
     assert not is_prime(PSI_12)  # needs base 41
     assert not is_prime(PSI_13)  # needs the strong Lucas step
@@ -248,6 +291,9 @@ def test_is_prime_matches_a_sieve_below_10_5():
 @settings(max_examples=500, deadline=None)
 @given(st.integers(3, 23).flatmap(lambda k: st.integers(10**k, 10 ** (k + 1) - 1)))
 @example(PSI_4)
+@example(PSI_5)
+@example(PSI_6)
+@example(PSI_7)
 @example(PSI_9)
 def test_is_prime_agrees_with_the_twelve_base_test(n):
     # odd n of 4 to 24 digits, on both sides of each base-set bound

@@ -42,6 +42,7 @@ from ramid import (
     verify_tuple,
     verify_variation,
 )
+from ramid import exact
 from ramid import identity as identity_module
 
 F = Fraction
@@ -478,6 +479,19 @@ def test_variation_parse_decomposes_each_literal_once(monkeypatch):
     monkeypatch.setattr("ramid.exact.squarefree_decompose", counted)
     assert VariationIdentity.from_json(text).to_json() == text
     assert len(calls) == 2
+
+
+def test_records_over_one_field_factor_its_radicand_once(monkeypatch):
+    # Four surd literals over sqrt(10^12 + 38) in two records: the first
+    # decomposition factors the cofactor 26005097, the rest are cached.
+    text = surd_family_high(10**12 + 39).to_json()
+    exact._squarefree.cache_clear()
+    calls = []
+    factor = exact._factor
+    monkeypatch.setattr("ramid.exact._factor", lambda n, out: calls.append(n) or factor(n, out))
+    for _ in range(2):
+        assert VariationIdentity.from_json(text).to_json() == text
+    assert calls == [26005097]
 
 
 @settings(max_examples=300, deadline=None)
