@@ -56,12 +56,16 @@ the roots, surds included.
 The inverse direction recovers k = (xy - (x+y) + 1) / (2 A^2 (z+1)) and
 accepts it only if the companion equation
 xy + (x+y) + 1 = 2 k t (A^2-1)(z-1) holds exactly.
+
+``ConditionReport``, ``RootPair`` and ``ConstructionResult`` are immutable
+named tuples, equal to the plain tuple of their fields.  They hold computed
+results and check nothing; ``identity()`` builds its tuple through the checks.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -70,26 +74,19 @@ from .exact import Surd, _clear_pair, as_rational, squarefree_decompose
 from .identity import IdentityTuple, _check_nontrivial
 
 
-@dataclass(frozen=True)
-class ConditionReport:
-    discriminant_nonnegative: bool
-    beta_nonzero: bool
-    one_minus_gamma_plus_beta_nonzero: bool
-    minus_one_not_root: bool
+class ConditionReport(namedtuple("ConditionReport", [
+    "discriminant_nonnegative", "beta_nonzero",
+    "one_minus_gamma_plus_beta_nonzero", "minus_one_not_root",
+])):
+    __slots__ = ()
 
     def all_satisfied(self) -> bool:
-        return (self.discriminant_nonnegative and self.beta_nonzero
-                and self.one_minus_gamma_plus_beta_nonzero and self.minus_one_not_root)
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
+        return all(self)
 
 
-@dataclass(frozen=True)
-class RootPair:
-    kind: str  # "rational" | "surd" | "none"
-    rational: tuple[Fraction, Fraction] | None = None
-    surd: tuple[Surd, Surd] | None = None
+# kind is "rational", "surd" or "none"; rational and surd hold the pair of that kind.
+class RootPair(namedtuple("RootPair", "kind rational surd", defaults=(None, None))):
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         d: dict = {"kind": self.kind}
@@ -98,17 +95,10 @@ class RootPair:
         return d
 
 
-@dataclass(frozen=True)
-class ConstructionResult:
-    t: Fraction
-    A: Fraction
-    z: Fraction
-    k: Fraction
-    gamma: Fraction
-    beta: Fraction
-    discriminant: Fraction
-    roots: RootPair
-    conditions: ConditionReport
+class ConstructionResult(namedtuple(
+    "ConstructionResult", "t A z k gamma beta discriminant roots conditions"
+)):
+    __slots__ = ()
 
     def identity(self) -> IdentityTuple | None:
         """The assembled tuple, when the roots are rational and all
@@ -119,17 +109,10 @@ class ConstructionResult:
         return IdentityTuple(self.t, self.A, lo, hi, self.z)
 
     def to_json_dict(self) -> dict:
-        return {
-            "t": str(self.t),
-            "A": str(self.A),
-            "z": str(self.z),
-            "k": str(self.k),
-            "gamma": str(self.gamma),
-            "beta": str(self.beta),
-            "discriminant": str(self.discriminant),
-            "roots": self.roots.to_json_dict(),
-            "conditions": self.conditions.to_json_dict(),
-        }
+        d = {name: str(v) for name, v in zip(self._fields[:7], self)}  # t .. discriminant
+        d["roots"] = self.roots.to_json_dict()
+        d["conditions"] = self.conditions._asdict()
+        return d
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
@@ -215,7 +198,7 @@ def build_tuple(
 def recover_k(identity: IdentityTuple) -> Fraction | None:
     """The unique k mapping (t, A, z) to this tuple's (x, y), or None if the
     companion equation fails (the tuple then satisfies no such construction)."""
-    t, A, x, y, z = identity.t, identity.A, identity.x, identity.y, identity.z
+    t, A, x, y, z = identity
     k = (x * y - (x + y) + 1) / (2 * A * A * (z + 1))
     if x * y + (x + y) + 1 == 2 * k * t * (A * A - 1) * (z - 1):
         return k

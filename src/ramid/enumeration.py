@@ -45,22 +45,23 @@ this completion.
 
 Each distinct completed int is checked once to be at least 2; the
 identities are then built from shared ``Fraction``s by the private
-``IdentityTuple._of_checked``, which skips the public constructor's checks,
-and ``verify_tuple`` runs once on each.
+``IdentityTuple._of_checked``, which skips the checks of the named tuple's
+``__new__``, and ``verify_tuple`` runs once on each.  An ``EnumerationReport``
+is an immutable named tuple, equal to the plain tuple of its fields;
+``prime_filter`` derives its report with ``_replace``.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
-from importlib import resources
 from itertools import chain, compress
 from math import isqrt
 from typing import Callable, Iterable, TextIO
 
 from .exact import as_rational, is_prime, require_int
-from .identity import Classification, IdentityTuple, _integer_class, verify_tuple
+from .identity import IdentityTuple, _integer_class, verify_tuple
 
 SUPER_PERFECT_T_VALUES = range(2, 7)
 PERFECT_T_MAX = 36  # (1 + 1/3)(1 + 2)^3, every variable at its minimum 2
@@ -68,12 +69,11 @@ PERFECT_T_MAX = 36  # (1 + 1/3)(1 + 2)^3, every variable at its minimum 2
 _GOLDEN_RESOURCE = "appendix_super_perfect.jsonl"
 
 
-@dataclass(frozen=True)
-class EnumerationReport:
-    identities: tuple[IdentityTuple, ...]
-    candidates_examined: int
-    wall_time: float
-    tags: tuple[Classification, ...] = ()  # classify(identity), one per identity
+# tags holds classify(identity), one per identity.
+class EnumerationReport(namedtuple(
+    "EnumerationReport", "identities candidates_examined wall_time tags", defaults=((),)
+)):
+    __slots__ = ()
 
     def to_summary_dict(self) -> dict:
         return {
@@ -248,14 +248,10 @@ def enumerate_perfect() -> EnumerationReport:
 def prime_filter(report: EnumerationReport) -> EnumerationReport:
     """Keep tuples whose A, x, y, z are all prime."""
     keep = [
-        all(
-            v.denominator == 1 and is_prime(int(v))
-            for v in (identity.A, identity.x, identity.y, identity.z)
-        )
+        all(v.denominator == 1 and is_prime(int(v)) for v in identity[1:])
         for identity in report.identities
     ]
-    return replace(
-        report,
+    return report._replace(
         identities=tuple(compress(report.identities, keep)),
         tags=tuple(compress(report.tags, keep)),
     )
@@ -263,6 +259,8 @@ def prime_filter(report: EnumerationReport) -> EnumerationReport:
 
 def load_appendix() -> list[IdentityTuple]:
     """The transcribed published list, in print order (one entry repeats)."""
+    from importlib import resources  # on Python 3.12+ it imports inspect: not at import
+
     text = (
         resources.files("ramid").joinpath("data").joinpath(_GOLDEN_RESOURCE)
     ).read_text()

@@ -17,8 +17,9 @@ The literal grammars of ``parse_rational`` and ``parse_surd`` are ASCII only.
 from __future__ import annotations
 
 import re
+from collections import OrderedDict
 from fractions import Fraction
-from functools import cache, lru_cache, total_ordering
+from functools import cache, total_ordering
 from itertools import compress
 from math import gcd, isqrt, lcm, prod
 
@@ -237,14 +238,35 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     test, or if rho runs out of steps on it.  The last 64 distinct results
     are cached, so a radicand repeated within a record or a family member is
     factored once; an error is not cached, and only ints reach the cache.
+    A result (f, s) with s > 1 also caches (f, 1): a field built from n is
+    the field of f, and its surd literals carry f.
     """
     if require_int("n", n) < 0:
         raise ValueError("radicand must be nonnegative")
     return _squarefree(n)
 
 
-@lru_cache(maxsize=_DECOMPOSE_CACHE)
+_decomposed: OrderedDict[int, tuple[int, int]] = OrderedDict()  # least recently used first
+
+
 def _squarefree(n: int) -> tuple[int, int]:
+    # _decompose through the cache of squarefree_decompose's docstring.  Each
+    # step is one call on the OrderedDict, so threads can at worst reorder it.
+    result = _decomposed.pop(n, None)
+    if result is None:
+        result = _decompose(n)
+        if result[1] > 1:
+            _decomposed[result[0]] = result[0], 1
+    _decomposed[n] = result
+    while len(_decomposed) > _DECOMPOSE_CACHE:
+        _decomposed.popitem(last=False)
+    return result
+
+
+_squarefree.cache_clear = _decomposed.clear
+
+
+def _decompose(n: int) -> tuple[int, int]:
     if n in (0, 1):
         return n, 1
     f, s = 1, 1
@@ -355,6 +377,10 @@ class Surd:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Surd is immutable")
+
+    def __reduce__(self) -> tuple:
+        # pickle and copy rebuild through the constructor, not by setting slots
+        return Surd, (self.p, self.q, self.d)
 
     @classmethod
     def sqrt_rational(cls, value: Fraction | int) -> Surd:

@@ -15,6 +15,13 @@ the square of the right side, exactly.  ``radicand()`` and ``rhs_product()``
 stay as the exact values of both sides, the references the property tests
 compare the integer checks against.
 
+Both records are immutable named tuples (``collections.namedtuple``
+subclasses without an instance dict), equal to, hashed and ordered as the
+plain tuple of their fields.  Their checks and the canonical form below run in
+``__new__``, which ``copy`` and pickle (protocol 2 on) call too, and ``_make``
+(so ``_replace``) calls the class.  Only ``IdentityTuple._of_checked`` and
+``VariationIdentity.from_tuple`` skip them, for fields known to pass.
+
 A variation is stored in canonical form, so equal identities compare and
 serialize equal: each entry is a positive surd (|v| for a radicand entry v,
 which enters as v^2, and (-w, -s) for a right-side pair (w, s) with w < 0, as
@@ -60,7 +67,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache, cmp_to_key
 from math import lcm
@@ -99,48 +106,40 @@ def _check_nontrivial(name: str, value: Fraction) -> None:
         raise TrivialInputError(f"{name} must not be 0, 1 or -1 (got {value})")
 
 
-@dataclass(frozen=True, order=True)
-class IdentityTuple:
-    t: Fraction
-    A: Fraction
-    x: Fraction
-    y: Fraction
-    z: Fraction
+class IdentityTuple(namedtuple("IdentityTuple", "t A x y z")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, t, A, x, y, z) -> "IdentityTuple":
         # ints become Fractions (1/x of an int is a float); floats are rejected
-        t, A, x, y, z = self.t, self.A, self.x, self.y, self.z
         if not (type(t) is type(A) is type(x) is type(y) is type(z) is Fraction):
-            for name in ("t", "A", "x", "y", "z"):
-                object.__setattr__(self, name, as_rational(name, getattr(self, name)))
-            t, A, x, y, z = self.t, self.A, self.x, self.y, self.z
+            t, A, x, y, z = map(as_rational, cls._fields, (t, A, x, y, z))
         if t == 0:
             raise TrivialInputError("t must be nonzero")
         _check_nontrivial("A", A)
         _check_nontrivial("x", x)
         _check_nontrivial("y", y)
         _check_nontrivial("z", z)
+        return tuple.__new__(cls, (t, A, x, y, z))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "IdentityTuple":
+        # Through __new__'s checks; namedtuple's _replace calls _make.
+        return cls(*iterable)
 
     def radicand(self) -> Fraction:
         r = self.t
-        for v in (self.A, self.x, self.y, self.z):
+        for v in self[1:]:
             r *= 1 - 1 / (v * v)
         return r
 
     def rhs_product(self) -> Fraction:
         s = _ONE
-        for v in (self.x, self.y, self.z):
+        for v in self[2:]:
             s *= 1 + 1 / v
         return s
 
     def to_json_dict(self, classification: Classification | None = None) -> dict:
-        d = {
-            "t": str(self.t),
-            "A": str(self.A),
-            "x": str(self.x),
-            "y": str(self.y),
-            "z": str(self.z),
-        }
+        d = {name: str(v) for name, v in zip(self._fields, self)}
         if classification is not None:
             d["class"] = classification.value
         return d
@@ -160,13 +159,7 @@ class IdentityTuple:
     ) -> "IdentityTuple":
         """A tuple from five ``Fraction``s, unchecked: the caller has made
         sure that t is nonzero and no other entry is 0, 1 or -1."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "z", z)
-        return self
+        return tuple.__new__(cls, (t, A, x, y, z))
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "IdentityTuple":
@@ -187,7 +180,7 @@ def verify_tuple(identity: IdentityTuple) -> bool:
     lhs = tn * (an * an - ad * ad)
     rhs = td * an * an
     den = 1  # prod(n), the denominator of the right side
-    for v in (identity.x, identity.y, identity.z):
+    for v in identity[2:]:
         n, d = v.as_integer_ratio()
         lhs *= n - d
         rhs *= n + d
@@ -204,10 +197,9 @@ def classify(identity: IdentityTuple) -> Classification:
 
 def _verified_class(identity: IdentityTuple) -> Classification:
     # classify's tag for a tuple the caller has verified.
-    values = (identity.t, identity.A, identity.x, identity.y, identity.z)
-    if any(v.denominator != 1 for v in values):
+    if any(v.denominator != 1 for v in identity):
         return Classification.NONTRIVIAL_RATIONAL
-    return _integer_class(*(v.numerator for v in values))
+    return _integer_class(*(v.numerator for v in identity))
 
 
 def _integer_class(t: int, A: int, x: int, y: int, z: int) -> Classification:
@@ -250,21 +242,23 @@ def _canonical(
     return [(value, sign) for _, _, _, sign, value in out]
 
 
-@dataclass(frozen=True)
-class VariationIdentity:
-    scale: Fraction = field(default=_ONE)
-    radicand_entries: tuple[Surd, ...] = ()
-    rhs_entries: tuple[tuple[Surd, int], ...] = ()
+class VariationIdentity(namedtuple("VariationIdentity", "scale radicand_entries rhs_entries")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "scale", as_rational("scale", self.scale))
-        if self.scale == 0:
+    def __new__(cls, scale=_ONE, radicand_entries=(), rhs_entries=()) -> "VariationIdentity":
+        scale = as_rational("scale", scale)
+        if scale == 0:
             raise TrivialInputError("scale must be nonzero")
-        radicand = _canonical(((v, 1) for v in self.radicand_entries), "radicand entry")
-        object.__setattr__(self, "radicand_entries", tuple([v for v, _ in radicand]))
-        rhs = _canonical(self.rhs_entries, "rhs value")
-        object.__setattr__(self, "rhs_entries", tuple(rhs))
+        radicand = _canonical(((v, 1) for v in radicand_entries), "radicand entry")
+        rhs = _canonical(rhs_entries, "rhs value")
+        self = tuple.__new__(cls, (scale, tuple([v for v, _ in radicand]), tuple(rhs)))
         self.field_radicand()  # rejects mixed fields eagerly
+        return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "VariationIdentity":
+        # Through __new__'s checks and canonical form, as IdentityTuple._make.
+        return cls(*iterable)
 
     def field_radicand(self) -> int:
         """The common squarefree d of all entries (0 if everything is rational)."""
@@ -327,7 +321,7 @@ class VariationIdentity:
         integers, "+" before "-" among equal values on the right side.  One
         ``Surd`` per distinct |v| serves both lists.
         """
-        values = (identity.A, identity.x, identity.y, identity.z)
+        values = identity[1:]
         ratios = [v.as_integer_ratio() for v in values]
         L = lcm(*[d for _, d in ratios])
         surds: dict[int, Surd] = {}
@@ -339,11 +333,7 @@ class VariationIdentity:
             keys.append((key, -1 if n > 0 else 1))
         radicand = tuple([surds[key] for key, _ in sorted(keys)])
         rhs = tuple([(surds[key], -m) for key, m in sorted(keys[1:])])
-        self = object.__new__(cls)  # the fields are canonical: no __post_init__
-        object.__setattr__(self, "scale", identity.t)
-        object.__setattr__(self, "radicand_entries", radicand)
-        object.__setattr__(self, "rhs_entries", rhs)
-        return self
+        return tuple.__new__(cls, (identity.t, radicand, rhs))  # canonical already
 
 
 def _times(x: tuple[int, int], y: tuple[int, int], f: int) -> tuple[int, int]:

@@ -320,6 +320,21 @@ def run_cli(
                           stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60)
 
 
+# The same one-liner guards the import in CI, on every Python version.
+IMPORT_GUARD = (
+    "import sys; m = set(sys.modules); import ramid; new = set(sys.modules) - m; "
+    'assert not {"dataclasses", "inspect"} & new, sorted(new)'
+)
+
+
+def test_import_ramid_loads_neither_dataclasses_nor_inspect():
+    # Each command runs in its own process, so the import is most of its wait.
+    env = {**os.environ, "PYTHONPATH": str(Path(ramid.__file__).parent.parent)}
+    done = subprocess.run([sys.executable, "-c", IMPORT_GUARD], capture_output=True,
+                          env=env, timeout=60)
+    assert done.returncode == 0, done.stderr.decode()
+
+
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize(
     "argv", [NOTEBOOK_ARGV, ["enumerate", "--class", "perfect"]], ids=["verify", "enumerate"]

@@ -1,6 +1,5 @@
 """Closed-form z, pruning bounds and the exhaustive searches."""
 
-import dataclasses
 import hashlib
 import io
 from fractions import Fraction
@@ -247,12 +246,12 @@ def test_enumerated_tuples_equal_publicly_built_ones(super_perfect_report, perfe
     notebook = IdentityTuple(F(2), F(3), F(7), F(11), F(19))
     assert notebook in perfect_report.identities
     built = perfect_report.identities[perfect_report.identities.index(notebook)]
-    # replace goes through the public constructor and its checks
+    # _replace goes through the public constructor and its checks
     with pytest.raises(TrivialInputError):
-        dataclasses.replace(built, A=F(1))
+        built._replace(A=F(1))
     with pytest.raises(PreconditionError):
-        dataclasses.replace(built, z=19.0)
-    assert dataclasses.replace(built, z=20).z == F(20)
+        built._replace(z=19.0)
+    assert built._replace(z=20).z == F(20)
 
 
 def _super_candidates(cell):

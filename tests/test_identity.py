@@ -1,7 +1,9 @@
 """Verifier, classifier and the variation data model."""
 
+import copy
 import itertools
 import json
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -23,12 +25,14 @@ from conftest import (
 )
 from ramid import (
     Classification,
+    EnumerationReport,
     IdentityTuple,
     IncompatibleFieldError,
     PreconditionError,
     Surd,
     TrivialInputError,
     VariationIdentity,
+    build_tuple,
     classify,
     is_prime,
     rebak_family,
@@ -344,6 +348,66 @@ def test_variation_rejects_an_int_sign_other_than_one():
         VariationIdentity(scale=2, radicand_entries=(3, 7), rhs_entries=((7, 2),))
 
 
+def test_make_checks_its_entries():
+    with pytest.raises(TrivialInputError):
+        IdentityTuple._make([2, 1, 7, 11, 19])
+    with pytest.raises(PreconditionError, match="z"):
+        IdentityTuple._make([2, 3, 7, 11, 19.0])
+    made = IdentityTuple._make([2, 3, 7, 11, 19])
+    assert made == tup(2, 3, 7, 11, 19) and all(type(v) is Fraction for v in made)
+
+
+@pytest.mark.parametrize(
+    "copy_of",
+    [lambda record: pickle.loads(pickle.dumps(record)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"],
+)
+@pytest.mark.parametrize(
+    "record", [tup(2, 3, 7, 11, 19), surd_family_high(10**12 + 39)], ids=["tuple", "surd-high"]
+)
+def test_pickle_and_copy_rebuild_equal_canonical_records(record, copy_of, monkeypatch):
+    checks = []
+    for name in ("_check_nontrivial", "_canonical"):
+        check = getattr(identity_module, name)
+        monkeypatch.setattr(
+            identity_module, name, lambda *args, check=check: checks.append(args) or check(*args)
+        )
+    clone = copy_of(record)
+    assert checks  # rebuilt through __new__, not field by field
+    assert type(clone) is type(record) and clone == record and hash(clone) == hash(record)
+    assert clone.to_json() == record.to_json()
+
+
+def test_replace_recomputes_the_canonical_form():
+    v = variation(2, [3, 7, 11, 19], [(7, 1), (11, 1), (19, 1)])
+    w = v._replace(rhs_entries=((19, 1), (-7, -1), (11, 1)))  # 1 - 1/(-7) = 1 + 1/7
+    assert w == v and w.to_json() == v.to_json()
+    assert all(type(value) is Surd for value, _ in w.rhs_entries)
+    with pytest.raises(TrivialInputError):
+        v._replace(radicand_entries=(3, 7, 11, -1))
+    with pytest.raises(IncompatibleFieldError):
+        v._replace(rhs_entries=((7, 1), (Surd(0, 1, 2), 1), (Surd(0, 1, 3), 1)))
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        tup(2, 3, 7, 11, 19),
+        surd_family_high(10**12 + 39),
+        build_tuple(2, 3, 19, F(1, 6)),
+        build_tuple(2, 3, 19, F(1, 6)).roots,
+        build_tuple(2, 3, 19, F(1, 6)).conditions,
+        EnumerationReport((), 0, 0.0),
+    ],
+    ids=lambda record: type(record).__name__,
+)
+def test_records_are_immutable(record):
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], None)
+    with pytest.raises(AttributeError):
+        record.note = "no room"  # __slots__ = (): no instance dict
+
+
 def test_verify_dispatches_by_type():
     identity = tup(2, 3, 7, 11, 19)
     assert verify(identity) and verify(VariationIdentity.from_tuple(identity))
@@ -492,6 +556,21 @@ def test_records_over_one_field_factor_its_radicand_once(monkeypatch):
     for _ in range(2):
         assert VariationIdentity.from_json(text).to_json() == text
     assert calls == [26005097]
+
+
+def test_a_member_over_a_square_multiple_of_its_field_is_factored_once(monkeypatch):
+    # a - 1 = 66765422241 = 3^2 * 7418380249: generating decomposes a - 1,
+    # the literals of its record carry 7418380249, and that result is cached too.
+    exact._squarefree.cache_clear()
+    calls = []
+    decompose = exact._decompose
+    monkeypatch.setattr("ramid.exact._decompose", lambda n: calls.append(n) or decompose(n))
+    member = surd_family_high(66765422242)
+    assert member.field_radicand() == 7418380249 and calls == [66765422241]
+    parsed = VariationIdentity.from_json(member.to_json())
+    render_latex(parsed)
+    render_text(parsed)
+    assert parsed == member and calls == [66765422241]
 
 
 @settings(max_examples=300, deadline=None)
