@@ -43,12 +43,15 @@ kept when z = (n+d)/(n-d) is at least its least admissible z (y+1 for
 super-perfect cells, y for perfect ones).  ``solve_z`` is the reference for
 this completion.
 
-Each distinct completed int is checked once to be at least 2; the
-identities are then built from shared ``Fraction``s by the private
-``IdentityTuple._of_checked``, which skips the checks of the named tuple's
-``__new__``, and ``verify_tuple`` runs once on each.  An ``EnumerationReport``
-is an immutable named tuple, equal to the plain tuple of its fields;
-``prime_filter`` derives its report with ``_replace``.
+Each distinct completed int is checked once to be at least 2, and each
+tuple once for x <= y <= z and t(A^2-1)(x-1)(y-1)(z-1) = A^2(x+1)(y+1)(z+1),
+the equation of ``verify_tuple`` with every denominator 1: with every entry
+at least 2 both sides are positive, so its sign clause holds and the equation
+alone decides the identity.  The tag is read from the same ordered ints, and
+the private ``IdentityTuple._of_checked`` builds each identity from shared
+``Fraction``s, skipping the checks of the named tuple's ``__new__``.  An
+``EnumerationReport`` is an immutable named tuple, equal to the plain tuple
+of its fields; ``prime_filter`` derives its report with ``_replace``.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ from math import isqrt
 from typing import Callable, Iterable, TextIO
 
 from .exact import as_rational, is_prime, require_int
-from .identity import IdentityTuple, _integer_class, verify_tuple
+from .identity import IdentityTuple, _ordered_class
 
 SUPER_PERFECT_T_VALUES = range(2, 7)
 PERFECT_T_MAX = 36  # (1 + 1/3)(1 + 2)^3, every variable at its minimum 2
@@ -207,13 +210,18 @@ def _run_cells(
     scan: Callable[[tuple[int, int], list[tuple[int, ...]]], int],
 ) -> EnumerationReport:
     """Scan every cell for completed integer tuples, then dedup and sort them
-    and build, verify and tag each identity once.
+    and check, tag and build each identity once, from its ints.
 
     Each distinct int is checked once to be at least 2, which covers the
-    public constructor's checks (t nonzero, no entry 0 or +-1); a failure
-    raises ``AssertionError`` naming the tuple.  Each identity is then built
-    by ``IdentityTuple._of_checked`` from one shared ``Fraction`` per int,
-    and ``verify_tuple`` runs once on each.
+    public constructor's checks (t nonzero, no entry 0 or +-1).  Each tuple
+    is then checked for x <= y <= z and for
+    t(A^2-1)(x-1)(y-1)(z-1) = A^2(x+1)(y+1)(z+1), ``verify_tuple``'s equation
+    with every denominator 1; with every entry at least 2 both sides are
+    positive, so its sign clause holds and the equation decides what
+    ``verify_tuple`` does.  Either failure raises ``AssertionError`` naming
+    the tuple.  ``_ordered_class`` tags the same ints, and
+    ``IdentityTuple._of_checked`` builds each identity from one shared
+    ``Fraction`` per int.
     """
     start = time.perf_counter()
     hits: list[tuple[int, ...]] = []
@@ -223,15 +231,21 @@ def _run_cells(
     if min(fraction_of, default=2) < 2:
         low = next(v for v in found if min(v) < 2)
         raise AssertionError(f"enumerated tuple has an entry below 2: {low}")
-    identities = tuple(
-        [IdentityTuple._of_checked(*map(fraction_of.__getitem__, v)) for v in found]
-    )
-    for identity in identities:
-        if not verify_tuple(identity):
+    get, of_checked = fraction_of.__getitem__, IdentityTuple._of_checked
+    identities, tags = [], []
+    for v in found:
+        t, A, x, y, z = v
+        a2 = A * A
+        identity = of_checked(map(get, v))
+        if not (
+            x <= y <= z
+            and t * (a2 - 1) * (x - 1) * (y - 1) * (z - 1) == a2 * (x + 1) * (y + 1) * (z + 1)
+        ):
             raise AssertionError(f"enumerated tuple fails to verify: {identity}")
-    tags = tuple(_integer_class(*v) for v in found)
+        identities.append(identity)
+        tags.append(_ordered_class(t, A, x, y, z))
     elapsed = time.perf_counter() - start
-    return EnumerationReport(identities, examined, elapsed, tags)
+    return EnumerationReport(tuple(identities), examined, elapsed, tuple(tags))
 
 
 def enumerate_super_perfect() -> EnumerationReport:

@@ -132,7 +132,7 @@ def normalize_tuple(identity: IdentityTuple) -> IdentityTuple:
         y, z = z, y
         if y < x:
             x, y = y, x
-    return IdentityTuple._of_checked(identity.t, A, x, y, z)
+    return IdentityTuple._of_checked((identity.t, A, x, y, z))
 
 
 def discover(

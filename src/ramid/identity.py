@@ -18,9 +18,10 @@ compare the integer checks against.
 Both records are immutable named tuples (``collections.namedtuple``
 subclasses without an instance dict), equal to, hashed and ordered as the
 plain tuple of their fields.  Their checks and the canonical form below run in
-``__new__``, which ``copy`` and pickle (protocol 2 on) call too, and ``_make``
-(so ``_replace``) calls the class.  Only ``IdentityTuple._of_checked`` and
-``VariationIdentity.from_tuple`` skip them, for fields known to pass.
+``__new__``, which ``copy`` and pickle (every protocol, through ``__reduce__``)
+call too, and ``_make`` (so ``_replace``) calls the class.  Only
+``IdentityTuple._of_checked`` and ``VariationIdentity.from_tuple`` skip them,
+for fields known to pass.
 
 A variation is stored in canonical form, so equal identities compare and
 serialize equal: each entry is a positive surd (|v| for a radicand entry v,
@@ -106,6 +107,12 @@ def _check_nontrivial(name: str, value: Fraction) -> None:
         raise TrivialInputError(f"{name} must not be 0, 1 or -1 (got {value})")
 
 
+def _rebuilt_through_new(record: tuple) -> tuple:
+    # __reduce__ of the checked records: pickle at every protocol (0 and 1
+    # would otherwise fill the tuple directly) and copy call the class.
+    return type(record), tuple(record)
+
+
 class IdentityTuple(namedtuple("IdentityTuple", "t A x y z")):
     __slots__ = ()
 
@@ -125,6 +132,8 @@ class IdentityTuple(namedtuple("IdentityTuple", "t A x y z")):
     def _make(cls, iterable: Iterable) -> "IdentityTuple":
         # Through __new__'s checks; namedtuple's _replace calls _make.
         return cls(*iterable)
+
+    __reduce__ = _rebuilt_through_new
 
     def radicand(self) -> Fraction:
         r = self.t
@@ -154,12 +163,11 @@ class IdentityTuple(namedtuple("IdentityTuple", "t A x y z")):
         )
 
     @classmethod
-    def _of_checked(
-        cls, t: Fraction, A: Fraction, x: Fraction, y: Fraction, z: Fraction
-    ) -> "IdentityTuple":
-        """A tuple from five ``Fraction``s, unchecked: the caller has made
-        sure that t is nonzero and no other entry is 0, 1 or -1."""
-        return tuple.__new__(cls, (t, A, x, y, z))
+    def _of_checked(cls, entries: Iterable[Fraction]) -> "IdentityTuple":
+        """A tuple from an iterable of the five ``Fraction``s t, A, x, y, z,
+        unchecked: the caller has made sure that there are five, that t is
+        nonzero and that no other entry is 0, 1 or -1."""
+        return tuple.__new__(cls, entries)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "IdentityTuple":
@@ -206,10 +214,15 @@ def _integer_class(t: int, A: int, x: int, y: int, z: int) -> Classification:
     # classify's tag for an integer tuple that verifies.
     if min(t, A, x, y, z) < 2:
         return Classification.GENERAL
-    x, y, z = sorted((x, y, z))
+    return _ordered_class(t, A, *sorted((x, y, z)))
+
+
+def _ordered_class(t: int, A: int, x: int, y: int, z: int) -> Classification:
+    # classify's tag for an integer tuple that verifies, every entry at least
+    # 2 and x <= y <= z.
     if not t < A < x < y < z:
         return Classification.PERFECT
-    if all(is_prime(v) for v in (A, x, y, z)):
+    if is_prime(A) and is_prime(x) and is_prime(y) and is_prime(z):
         return Classification.PRIME
     return Classification.SUPER_PERFECT
 
@@ -259,6 +272,8 @@ class VariationIdentity(namedtuple("VariationIdentity", "scale radicand_entries 
     def _make(cls, iterable: Iterable) -> "VariationIdentity":
         # Through __new__'s checks and canonical form, as IdentityTuple._make.
         return cls(*iterable)
+
+    __reduce__ = _rebuilt_through_new
 
     def field_radicand(self) -> int:
         """The common squarefree d of all entries (0 if everything is rational)."""

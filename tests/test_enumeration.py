@@ -6,6 +6,8 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brute import brute_force_super_perfect
 from ramid import (
@@ -16,6 +18,7 @@ from ramid import (
     TrivialInputError,
     appendix_distinct,
     classify,
+    enumerate_perfect,
     enumerate_super_perfect,
     load_appendix,
     prime_filter,
@@ -33,6 +36,7 @@ from ramid.enumeration import (
     super_x_interval,
     super_y_interval,
 )
+from ramid.identity import _ordered_class
 
 F = Fraction
 
@@ -187,8 +191,9 @@ def test_prime_filter_empty_report():
 
 
 def test_enumeration_classifies_each_tuple_once(monkeypatch):
-    # enumeration calls verify_tuple by its own name and classify looks it up
-    # in ramid.identity: both are counted.
+    # Enumeration checks and tags its tuples in ints: neither it nor the
+    # report's writer calls verify_tuple (classify looks it up in
+    # ramid.identity), so no identity is verified twice.
     calls = []
 
     def counted(identity):
@@ -196,12 +201,11 @@ def test_enumeration_classifies_each_tuple_once(monkeypatch):
         return verify_tuple(identity)
 
     monkeypatch.setattr("ramid.identity.verify_tuple", counted)
-    monkeypatch.setattr("ramid.enumeration.verify_tuple", counted)
     report = enumerate_super_perfect()
     report.write_jsonl(io.StringIO())
     primes = prime_filter(report)
     primes.write_jsonl(io.StringIO())
-    assert calls == list(report.identities)
+    assert calls == []
     monkeypatch.undo()
     assert report.tags == tuple(map(classify, report.identities))
     assert primes.tags == (Classification.PRIME,) * 3
@@ -216,6 +220,59 @@ def test_enumeration_names_a_tuple_that_fails_to_verify():
 
     with pytest.raises(AssertionError, match=r"fails to verify: .*z=Fraction\(20, 1\)"):
         _run_cells([(2, 3)], scan)
+
+
+@pytest.mark.parametrize("unordered", [(2, 3, 11, 7, 19), (2, 3, 7, 19, 11)])
+def test_enumeration_rejects_an_unordered_tuple(unordered):
+    # The notebook identity (2, 3, 7, 11, 19) out of order verifies, but the
+    # scans emit x <= y <= z and the tag is read from that order.
+    assert verify_tuple(IdentityTuple(*unordered))
+
+    def scan(cell, hits):
+        hits.append(unordered)
+        return 1
+
+    with pytest.raises(AssertionError, match=r"fails to verify: IdentityTuple\(t="):
+        _run_cells([(2, 3)], scan)
+
+
+_ENUMERATED = [tuple(map(int, v)) for v in enumerate_perfect().identities]
+
+
+@st.composite
+def ordered_int_tuples(draw):
+    # An enumerated tuple, possibly with one entry moved a little, or five
+    # random ints; either way x, y, z are put in order.
+    if draw(st.booleans()):
+        v = list(draw(st.sampled_from(_ENUMERATED)))
+        i = draw(st.integers(0, 4))
+        v[i] = max(2, v[i] + draw(st.integers(-2, 2)))
+    else:
+        v = draw(st.lists(st.integers(2, 10**6), min_size=5, max_size=5))
+    return (v[0], v[1], *sorted(v[2:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ordered_int_tuples())
+def test_integer_check_decides_what_verify_tuple_does(v):
+    def scan(cell, hits):
+        hits.append(v)
+        return 1
+
+    identity = IdentityTuple(*v)
+    if verify_tuple(identity):
+        report = _run_cells([(2, 3)], scan)
+        assert report.identities == (identity,)
+        assert report.tags == (classify(identity),)
+    else:
+        with pytest.raises(AssertionError, match="fails to verify"):
+            _run_cells([(2, 3)], scan)
+
+
+def test_ordered_class_is_classify(super_perfect_report, perfect_report):
+    for report in (super_perfect_report, perfect_report):
+        for identity in report.identities:
+            assert _ordered_class(*map(int, identity)) == classify(identity)
 
 
 def test_enumeration_rejects_an_entry_below_2():

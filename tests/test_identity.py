@@ -378,6 +378,20 @@ def test_pickle_and_copy_rebuild_equal_canonical_records(record, copy_of, monkey
     assert clone.to_json() == record.to_json()
 
 
+@pytest.mark.parametrize("protocol", range(6))
+def test_every_pickle_protocol_rebuilds_through_the_checks(protocol):
+    for unchecked in (
+        tuple.__new__(IdentityTuple, map(F, (2, 3, 7, 11, 1))),  # z = 1
+        tuple.__new__(VariationIdentity, (F(0), (), ())),  # scale 0
+    ):
+        with pytest.raises(TrivialInputError):
+            pickle.loads(pickle.dumps(unchecked, protocol=protocol))
+    record = surd_family_high(10**12 + 39)
+    clone = pickle.loads(pickle.dumps(record, protocol=protocol))
+    assert type(clone) is VariationIdentity and clone == record
+    assert clone.to_json() == record.to_json()
+
+
 def test_replace_recomputes_the_canonical_form():
     v = variation(2, [3, 7, 11, 19], [(7, 1), (11, 1), (19, 1)])
     w = v._replace(rhs_entries=((19, 1), (-7, -1), (11, 1)))  # 1 - 1/(-7) = 1 + 1/7
