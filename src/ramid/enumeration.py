@@ -47,11 +47,12 @@ Each distinct completed int is checked once to be at least 2, and each
 tuple once for x <= y <= z and t(A^2-1)(x-1)(y-1)(z-1) = A^2(x+1)(y+1)(z+1),
 the equation of ``verify_tuple`` with every denominator 1: with every entry
 at least 2 both sides are positive, so its sign clause holds and the equation
-alone decides the identity.  The tag is read from the same ordered ints, and
-the private ``IdentityTuple._of_checked`` builds each identity from shared
-``Fraction``s, skipping the checks of the named tuple's ``__new__``.  An
-``EnumerationReport`` is an immutable named tuple, equal to the plain tuple
-of its fields; ``prime_filter`` derives its report with ``_replace``.
+alone decides the identity.  In the same pass each identity is built from
+shared ``Fraction``s, skipping the checks of the named tuple's ``__new__``,
+and its tag and JSON line are read from the same ordered ints, so writing a
+report only joins its lines.  An ``EnumerationReport`` is an immutable named
+tuple, equal to the plain tuple of its fields; ``prime_filter`` derives its
+report with ``_replace``.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from math import isqrt
 from typing import Callable, Iterable, TextIO
 
 from .exact import as_rational, is_prime, require_int
-from .identity import IdentityTuple, _ordered_class
+from .identity import IdentityTuple, _json_line, _ordered_class
 
 SUPER_PERFECT_T_VALUES = range(2, 7)
 PERFECT_T_MAX = 36  # (1 + 1/3)(1 + 2)^3, every variable at its minimum 2
@@ -72,9 +73,9 @@ PERFECT_T_MAX = 36  # (1 + 1/3)(1 + 2)^3, every variable at its minimum 2
 _GOLDEN_RESOURCE = "appendix_super_perfect.jsonl"
 
 
-# tags holds classify(identity), one per identity.
+# lines holds identity.to_json(classify(identity)) + "\n", one per identity.
 class EnumerationReport(namedtuple(
-    "EnumerationReport", "identities candidates_examined wall_time tags", defaults=((),)
+    "EnumerationReport", "identities candidates_examined wall_time lines", defaults=((),)
 )):
     __slots__ = ()
 
@@ -86,8 +87,9 @@ class EnumerationReport(namedtuple(
         }
 
     def write_jsonl(self, stream: TextIO) -> None:
-        for identity, tag in zip(self.identities, self.tags, strict=True):
-            stream.write(identity.to_json(tag) + "\n")
+        if len(self.lines) != len(self.identities):
+            raise ValueError("a report needs one JSON line per identity")
+        stream.write("".join(self.lines))
 
 
 def solve_z(t: Fraction | int, A: int, x: int, y: int) -> int | None:
@@ -210,7 +212,7 @@ def _run_cells(
     scan: Callable[[tuple[int, int], list[tuple[int, ...]]], int],
 ) -> EnumerationReport:
     """Scan every cell for completed integer tuples, then dedup and sort them
-    and check, tag and build each identity once, from its ints.
+    and build, check, tag and format each identity once, from its ints.
 
     Each distinct int is checked once to be at least 2, which covers the
     public constructor's checks (t nonzero, no entry 0 or +-1).  Each tuple
@@ -219,9 +221,9 @@ def _run_cells(
     with every denominator 1; with every entry at least 2 both sides are
     positive, so its sign clause holds and the equation decides what
     ``verify_tuple`` does.  Either failure raises ``AssertionError`` naming
-    the tuple.  ``_ordered_class`` tags the same ints, and
-    ``IdentityTuple._of_checked`` builds each identity from one shared
-    ``Fraction`` per int.
+    the tuple.  Each identity is built from one shared ``Fraction`` per
+    int, ``_ordered_class`` tags the same ints and ``_json_line`` formats
+    them, with the tag, into the identity's JSON line.
     """
     start = time.perf_counter()
     hits: list[tuple[int, ...]] = []
@@ -231,21 +233,20 @@ def _run_cells(
     if min(fraction_of, default=2) < 2:
         low = next(v for v in found if min(v) < 2)
         raise AssertionError(f"enumerated tuple has an entry below 2: {low}")
-    get, of_checked = fraction_of.__getitem__, IdentityTuple._of_checked
-    identities, tags = [], []
-    for v in found:
-        t, A, x, y, z = v
+    get, new = fraction_of.__getitem__, tuple.__new__
+    identities, lines = [], []
+    for t, A, x, y, z in found:
         a2 = A * A
-        identity = of_checked(map(get, v))
+        identity = new(IdentityTuple, (get(t), get(A), get(x), get(y), get(z)))
         if not (
             x <= y <= z
             and t * (a2 - 1) * (x - 1) * (y - 1) * (z - 1) == a2 * (x + 1) * (y + 1) * (z + 1)
         ):
             raise AssertionError(f"enumerated tuple fails to verify: {identity}")
         identities.append(identity)
-        tags.append(_ordered_class(t, A, x, y, z))
+        lines.append(_json_line(t, A, x, y, z, _ordered_class(t, A, x, y, z)) + "\n")
     elapsed = time.perf_counter() - start
-    return EnumerationReport(tuple(identities), examined, elapsed, tuple(tags))
+    return EnumerationReport(tuple(identities), examined, elapsed, tuple(lines))
 
 
 def enumerate_super_perfect() -> EnumerationReport:
@@ -267,7 +268,7 @@ def prime_filter(report: EnumerationReport) -> EnumerationReport:
     ]
     return report._replace(
         identities=tuple(compress(report.identities, keep)),
-        tags=tuple(compress(report.tags, keep)),
+        lines=tuple(compress(report.lines, keep)),
     )
 
 

@@ -20,8 +20,8 @@ subclasses without an instance dict), equal to, hashed and ordered as the
 plain tuple of their fields.  Their checks and the canonical form below run in
 ``__new__``, which ``copy`` and pickle (every protocol, through ``__reduce__``)
 call too, and ``_make`` (so ``_replace``) calls the class.  Only
-``IdentityTuple._of_checked`` and ``VariationIdentity.from_tuple`` skip them,
-for fields known to pass.
+``IdentityTuple._of_checked``, the build loop of ``enumeration._run_cells``
+and ``VariationIdentity.from_tuple`` skip them, for fields known to pass.
 
 A variation is stored in canonical form, so equal identities compare and
 serialize equal: each entry is a positive surd (|v| for a radicand entry v,
@@ -97,9 +97,22 @@ class Classification(enum.Enum):
     SUPER_PERFECT = "super-perfect"
     PRIME = "prime"
 
+    # Members are singletons equal only to themselves; Enum's hash runs in Python.
+    __hash__ = object.__hash__
+
 
 # The "class" member of a tuple's JSON line, by tag (None for no tag).
 _JSON_TAG = {None: "", **{c: f', "class": "{c.value}"' for c in Classification}}
+
+
+def _json_line(t, A, x, y, z, classification: Classification | None) -> str:
+    # json.dumps(to_json_dict(classification)) byte for byte, from the entries
+    # as ints or as str() of the Fractions (not their slower __format__): each
+    # prints as digits, "-" and "/", and the tags are plain ASCII.
+    return (
+        f'{{"t": "{t}", "A": "{A}", "x": "{x}", "y": "{y}", "z": "{z}"'
+        f"{_JSON_TAG[classification]}}}"
+    )
 
 
 def _check_nontrivial(name: str, value: Fraction) -> None:
@@ -154,12 +167,8 @@ class IdentityTuple(namedtuple("IdentityTuple", "t A x y z")):
         return d
 
     def to_json(self, classification: Classification | None = None) -> str:
-        # json.dumps(self.to_json_dict(classification)), byte for byte: a
-        # Fraction prints as digits, "-" and "/", and the tags are plain ASCII.
-        # str() skips format()'s dispatch, and the tag text is looked up.
-        return (
-            f'{{"t": "{str(self.t)}", "A": "{str(self.A)}", "x": "{str(self.x)}", '
-            f'"y": "{str(self.y)}", "z": "{str(self.z)}"{_JSON_TAG[classification]}}}'
+        return _json_line(
+            str(self.t), str(self.A), str(self.x), str(self.y), str(self.z), classification
         )
 
     @classmethod

@@ -1,9 +1,12 @@
 """Closed-form z, pruning bounds and the exhaustive searches."""
 
+import enum
 import hashlib
 import io
+import json
 from fractions import Fraction
 from math import isqrt
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -201,16 +204,44 @@ def test_enumeration_classifies_each_tuple_once(monkeypatch):
         return verify_tuple(identity)
 
     monkeypatch.setattr("ramid.identity.verify_tuple", counted)
-    report = enumerate_super_perfect()
-    report.write_jsonl(io.StringIO())
-    primes = prime_filter(report)
-    primes.write_jsonl(io.StringIO())
+    reports = []
+    for search in (enumerate_super_perfect, enumerate_perfect):
+        report = search()
+        report.write_jsonl(io.StringIO())
+        primes = prime_filter(report)
+        primes.write_jsonl(io.StringIO())
+        reports += [report, primes]
     assert calls == []
     monkeypatch.undo()
-    assert report.tags == tuple(map(classify, report.identities))
-    assert primes.tags == (Classification.PRIME,) * 3
-    with pytest.raises(ValueError):  # a report without its tags is not written
-        EnumerationReport(report.identities, 0, 0.0).write_jsonl(io.StringIO())
+    for report in reports:
+        assert report.lines == tuple(i.to_json(classify(i)) + "\n" for i in report.identities)
+    super_primes, perfect_primes = reports[1], reports[3]
+    assert [json.loads(line)["class"] for line in super_primes.lines] == ["prime"] * 3
+    assert [json.loads(line)["class"] for line in perfect_primes.lines].count("prime") == 3
+    with pytest.raises(ValueError):  # a report without its lines is not written
+        EnumerationReport(reports[0].identities, 0, 0.0).write_jsonl(io.StringIO())
+
+
+def test_enumerated_lines_are_formatted_from_ints():
+    # The scan's ints are formatted directly: writing an enumerated report
+    # prints no Fraction and calls neither to_json nor Enum's own __hash__
+    # (the tag text is looked up by Classification).
+    def counting(owner, name):
+        original = getattr(owner, name)
+        return mock.patch.object(owner, name, autospec=True, side_effect=original)
+
+    out = io.StringIO()
+    with (
+        counting(IdentityTuple, "to_json") as to_json,
+        counting(Fraction, "__str__") as fraction_str,
+        counting(enum.Enum, "__hash__") as enum_hash,
+    ):
+        for search in (enumerate_super_perfect, enumerate_perfect):
+            report = search()
+            report.write_jsonl(out)
+            prime_filter(report).write_jsonl(out)
+    assert (to_json.call_count, fraction_str.call_count, enum_hash.call_count) == (0, 0, 0)
+    assert len(out.getvalue().splitlines()) == 39 + 3 + 309 + 46
 
 
 def test_enumeration_names_a_tuple_that_fails_to_verify():
@@ -263,7 +294,7 @@ def test_integer_check_decides_what_verify_tuple_does(v):
     if verify_tuple(identity):
         report = _run_cells([(2, 3)], scan)
         assert report.identities == (identity,)
-        assert report.tags == (classify(identity),)
+        assert report.lines == (identity.to_json(classify(identity)) + "\n",)
     else:
         with pytest.raises(AssertionError, match="fails to verify"):
             _run_cells([(2, 3)], scan)
@@ -370,12 +401,13 @@ def test_prime_filter_drops_composites(super_perfect_report):
 
 def test_perfect_superset_of_super_perfect(super_perfect_report, perfect_report):
     # The two cell geometries agree: the super-perfect report is exactly the
-    # perfect tuples tagged super-perfect or prime, tags included.
-    super_tags = (Classification.SUPER_PERFECT, Classification.PRIME)
-    tagged = zip(perfect_report.identities, perfect_report.tags, strict=True)
-    expected = [(identity, tag) for identity, tag in tagged if tag in super_tags]
+    # perfect tuples tagged super-perfect or prime, lines included.
+    super_tags = ("super-perfect", "prime")
+    tagged = zip(perfect_report.identities, perfect_report.lines, strict=True)
+    expected = [(i, line) for i, line in tagged if json.loads(line)["class"] in super_tags]
     assert len(expected) == 39
-    assert list(zip(super_perfect_report.identities, super_perfect_report.tags)) == expected
+    super_lines = zip(super_perfect_report.identities, super_perfect_report.lines, strict=True)
+    assert list(super_lines) == expected
 
 
 def test_perfect_all_verify_and_are_perfect(perfect_report):
