@@ -103,10 +103,18 @@ class ConstructionResult(namedtuple(
     def identity(self) -> IdentityTuple | None:
         """The assembled tuple, when the roots are rational and all
         condition flags hold; x and y carry the roots in ascending order."""
+        roots = self._rational_roots()
+        if roots is None:
+            return None
+        hi, lo = roots
+        return IdentityTuple(self.t, self.A, lo, hi, self.z)
+
+    def _rational_roots(self) -> tuple[Fraction, Fraction] | None:
+        # (hi, lo) when the roots are rational and every condition flag holds,
+        # else None: the rule for a hit, shared by identity() and discover.
         if self.roots.kind != "rational" or not self.conditions.all_satisfied():
             return None
-        hi, lo = self.roots.rational
-        return IdentityTuple(self.t, self.A, lo, hi, self.z)
+        return self.roots.rational
 
     def to_json_dict(self) -> dict:
         d = {name: str(v) for name, v in zip(self._fields[:7], self)}  # t .. discriminant
@@ -183,12 +191,7 @@ def build_tuple(
     _check_nontrivial("z", z)
     g, b, m, n = _cleared(t, A, z, k)
     gamma, beta = Fraction(g, m), Fraction(b, m)
-    conditions = ConditionReport(
-        discriminant_nonnegative=n >= 0,
-        beta_nonzero=b != 0,
-        one_minus_gamma_plus_beta_nonzero=m - g + b != 0,
-        minus_one_not_root=m + g + b != 0,
-    )
+    conditions = ConditionReport(n >= 0, b != 0, m - g + b != 0, m + g + b != 0)
     c = gcd(g, b, m)  # dividing by c gives solve_roots' integers (module docstring)
     roots = _roots(g // c, b // c, m // c, n // (c * c))
     disc = Fraction(n, m * m)

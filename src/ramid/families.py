@@ -11,8 +11,10 @@ those objects and verification reports False (tests pin the windows).
 
 ``discover`` samples (A, z, k) from a seeded ``random.Random``, as
 ``Random.randint`` draws them, and tests each draw by the integer N test of
-``construct``; a square-N draw goes through ``build_tuple``, ``identity()``,
-``verify_tuple`` and ``normalize_tuple``, and every other draw stays in ints.
+``construct``; every other draw stays in ints.  A square-N draw makes one
+``build_tuple`` call; its roots are normalized and deduplicated on their
+integers, and the hits are sorted by their entries over one common
+denominator, which is exactly ``sorted`` since t is the same for every hit.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import functools
 import random
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from .construct import _coefficients, build_tuple
 from .errors import ConfigurationError, FamilyDomainError, TrivialInputError
@@ -158,9 +160,19 @@ def discover(
     lo + r, with r = getrandbits(n.bit_length()) redrawn while r >= n: the
     rule of ``Random._randbelow_with_getrandbits`` (CPython 3.10 to 3.13), so
     the generator is consumed exactly as by ``Random.randint`` and a seed
-    gives the hits it gave with ``randint``.  A square-N draw is a hit when
-    ``build_tuple(t, A, z, p/m).identity()`` exists and ``verify_tuple``
-    accepts it; ``normalize_tuple`` then gives its canonical form.
+    gives the hits it gave with ``randint``.
+
+    A square-N draw makes one ``build_tuple(t, A, z, p/m)`` call.  It is a
+    hit when its roots hi >= lo are rational, every condition flag holds
+    (the rule of ``ConstructionResult.identity()``; the flags rule out 0 and
+    +-1 for the roots) and its tuple verifies.  Its ``normalize_tuple`` form
+    is decided in ints: A becomes |A|, and z goes after hi = hn/hd unless
+    z hd < hn, then before lo = ln/ld if z ld < ln.  Each distinct key
+    (|A|, xn, xd, yn, yd, zn, zd) of entries in lowest terms is built
+    unchecked and verified once.  The hits sort by (|A|, xn L/xd, yn L/yd,
+    zn L/zd), L the lcm of their denominators.  That is the order of
+    ``sorted``: t is the same for every hit, and v = n/d compares as the
+    integer v L = n (L/d) since L > 0; distinct hits have distinct keys.
     """
     if require_int("trials", trials) <= 0:
         raise ConfigurationError(f"trials must be positive (got {trials})")
@@ -185,7 +197,7 @@ def discover(
     m_n, p_n = k_den_max, 2 * k_den_max + 1
     a_k, z_k, m_k, p_k = (n.bit_length() for n in (a_n, z_n, m_n, p_n))
     table: dict[int, tuple[int, int, int]] = {}
-    found: set[IdentityTuple] = set()
+    found: dict[tuple[int, ...], IdentityTuple | None] = {}  # key -> hit, None if false
     for _ in range(trials):
         r = bits(a_k)
         while r >= a_n:
@@ -219,10 +231,25 @@ def discover(
         n = G * G - 4 * B * M
         if n < 0 or isqrt(n) ** 2 != n:
             continue
-        candidate = build_tuple(t, A, z, Fraction(p, m)).identity()
-        if candidate is not None and verify_tuple(candidate):
-            found.add(normalize_tuple(candidate))
-    return sorted(found)
+        result = build_tuple(t, A, z, Fraction(p, m))
+        roots = result._rational_roots()
+        if roots is None:
+            continue
+        hi, lo = roots
+        (hn, hd), (ln, ld), a = hi.as_integer_ratio(), lo.as_integer_ratio(), abs(A)
+        if z * hd >= hn:
+            key, xyz = (a, ln, ld, hn, hd, z, 1), (lo, hi, result.z)
+        elif z * ld >= ln:
+            key, xyz = (a, ln, ld, z, 1, hn, hd), (lo, result.z, hi)
+        else:
+            key, xyz = (a, z, 1, ln, ld, hn, hd), (result.z, lo, hi)
+        if key not in found:
+            hit = IdentityTuple._of_checked((t, result.A if A > 0 else -result.A, *xyz))
+            found[key] = hit if verify_tuple(hit) else None
+    keys = [key for key, hit in found.items() if hit is not None]
+    L = lcm(*[d for key in keys for d in key[2::2]])
+    keys.sort(key=lambda k: (k[0], k[1] * (L // k[2]), k[3] * (L // k[4]), k[5] * (L // k[6])))
+    return [found[key] for key in keys]
 
 
 # Family name -> generator and its parameters with their types, in call order.

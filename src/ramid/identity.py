@@ -214,9 +214,10 @@ def classify(identity: IdentityTuple) -> Classification:
 
 def _verified_class(identity: IdentityTuple) -> Classification:
     # classify's tag for a tuple the caller has verified.
-    if any(v.denominator != 1 for v in identity):
-        return Classification.NONTRIVIAL_RATIONAL
-    return _integer_class(*(v.numerator for v in identity))
+    t, A, x, y, z = identity
+    if t.denominator == A.denominator == x.denominator == y.denominator == z.denominator == 1:
+        return _integer_class(t.numerator, A.numerator, x.numerator, y.numerator, z.numerator)
+    return Classification.NONTRIVIAL_RATIONAL
 
 
 def _integer_class(t: int, A: int, x: int, y: int, z: int) -> Classification:

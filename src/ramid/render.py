@@ -6,7 +6,8 @@ a single square root, the signed product on the right.  Values render as
 integers, \\frac for non-integer rationals, and p + q\\sqrt{d} for surds;
 negative right-side values always display as subtraction, e.g. (1 - 1/45).
 In plain text every value but an integer is parenthesized, (1 - 1/(5/2)^2),
-so the line evaluates as written.
+so the line evaluates as written.  A side with no factor (scale 1 and no
+radicand entry, or no right-side entry) is the empty product and prints as 1.
 """
 
 from __future__ import annotations
@@ -83,8 +84,8 @@ def render_latex(
     scale = "" if variation.scale == 1 else _latex_rational(variation.scale)
     radicand = scale + "".join(
         _latex_radicand_factor(v) for v in variation.radicand_entries
-    )
-    rhs = "".join(_latex_rhs_factor(v, s) for v, s in variation.rhs_entries)
+    ) or "1"
+    rhs = "".join(_latex_rhs_factor(v, s) for v, s in variation.rhs_entries) or "1"
     return rf"\sqrt{{{radicand}}} = {rhs}"
 
 
@@ -98,5 +99,5 @@ def render_text(
     rhs = " * ".join(
         f"(1 {'+' if s > 0 else '-'} 1/{_text_value(v)})"
         for v, s in variation.rhs_entries
-    )
-    return f"sqrt({' * '.join(factors)}) = {rhs}"
+    ) or "1"
+    return f"sqrt({' * '.join(factors) or '1'}) = {rhs}"

@@ -4,8 +4,10 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -90,6 +92,41 @@ def test_render_refuses_a_false_record(monkeypatch, capsys, fmt):
     assert render(monkeypatch, REBAK_FALSE, fmt, "--unchecked") == EXIT_OK
     out, err = capsys.readouterr()
     assert len(out.splitlines()) == 1 and err == ""
+
+
+def _fraction_sides(text: str) -> tuple[Fraction, Fraction]:
+    # Both sides of a render_text line whose radicand is a rational square,
+    # evaluated as written in Fractions.
+    def sqrt(value: Fraction) -> Fraction:
+        n, d = math.isqrt(value.numerator), math.isqrt(value.denominator)
+        assert Fraction(n, d) ** 2 == value, value
+        return Fraction(n, d)
+
+    def evaluate(expr: str) -> Fraction:
+        assert not re.sub(r"\d+|sqrt|[ +\-*/^()]", "", expr), expr
+        expr = re.sub(r"\d+", lambda m: f"F({m.group()})", expr).replace("^", "**")
+        return eval(expr, {"__builtins__": {}, "F": Fraction, "sqrt": sqrt})
+
+    lhs, rhs = text.split(" = ")
+    return evaluate(lhs), evaluate(rhs)
+
+
+@pytest.mark.parametrize(
+    "record, text, latex",
+    [
+        ('{"scale": "4/3", "radicand": ["2"], "rhs": []}',
+         "sqrt(4/3 * (1 - 1/2^2)) = 1",
+         r"\sqrt{\frac{4}{3}\left(1-\frac{1}{2^2}\right)} = 1"),
+        ('{"scale": "1", "radicand": [], "rhs": []}', "sqrt(1) = 1", r"\sqrt{1} = 1"),
+    ],
+    ids=["empty-rhs", "both-empty"],
+)
+def test_render_prints_an_empty_side_as_one(monkeypatch, capsys, record, text, latex):
+    assert render(monkeypatch, record, "text") == EXIT_OK
+    assert capsys.readouterr().out == text + "\n"
+    assert _fraction_sides(text) == (1, 1)
+    assert render(monkeypatch, record, "latex") == EXIT_OK
+    assert capsys.readouterr().out == latex + "\n"
 
 
 def test_render_clips_a_false_record(monkeypatch, capsys):

@@ -3,7 +3,9 @@
 import hashlib
 import random
 import re
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import pytest
@@ -411,6 +413,43 @@ def test_discover_builds_only_draws_with_rational_roots(monkeypatch):
     assert all(result.roots.kind == "rational" for result in built)
 
 
+def test_discover_hits_are_normalized_and_sorted_in_ints():
+    # A hit is placed, deduplicated and sorted on its entries' integers:
+    # discover makes no Fraction hash and no Fraction order comparison.
+    def counting(name):
+        original = getattr(Fraction, name)
+        return mock.patch.object(Fraction, name, autospec=True, side_effect=original)
+
+    hits = 0
+    with counting("__hash__") as fraction_hash, counting("__lt__") as fraction_lt:
+        for seed, trials in ((3, 200), (1, 30000)):
+            for t in (F(2), F(15, 16)):
+                hits += len(discover(seed=seed, trials=trials, t=t))
+    assert (fraction_hash.call_count, fraction_lt.call_count) == (0, 0)
+    assert hits == 796
+
+
+def test_discover_places_z_below_between_and_above_the_roots(monkeypatch):
+    # Every A of this run is negative, so every hit flips A, and its hits put
+    # z below x, between x and y, and above y (counted over the built draws).
+    kwargs = dict(seed=4, trials=20000, t=F(15, 16), a_range=(-6, -2))
+    built = []
+
+    def recorded(*inputs):
+        built.append(build_tuple(*inputs))
+        return built[-1]
+
+    monkeypatch.setattr("ramid.families.build_tuple", recorded)
+    found = discover(**kwargs)
+    places = Counter()
+    for result in built:
+        hi, lo = result.roots.rational
+        places["below" if result.z < lo else "between" if result.z < hi else "above"] += 1
+    assert places == {"below": 193, "between": 75, "above": 145}
+    assert len(found) == 240 and all(hit.A > 0 for hit in found)
+    assert found == discover_reference(**kwargs)
+
+
 # sha256 over the "\n"-joined JSON lines (with class tags) of
 # discover(seed, trials=2000, t), recorded before discover moved to the
 # integer root test.  Pins the draw order, which draws are kept, the
@@ -452,6 +491,9 @@ def _ranges(bound: int):
 @example(seed=5, t=F(-7, 3), a_range=(-6, 6), z_range=(-1, 20), k_den_max=5)
 @example(seed=2, t=F(15, 16), a_range=(3, 3), z_range=(-8, 7), k_den_max=1)
 @example(seed=4, t=F(3), a_range=(-4, 5), z_range=(-6, -6), k_den_max=7)
+# Every A negative, so every hit flips A.
+@example(seed=7, t=F(2), a_range=(-6, -2), z_range=(-50, 50), k_den_max=12)
+@example(seed=8, t=F(15, 16), a_range=(-6, -2), z_range=(-50, 50), k_den_max=12)
 # p ranges over 2^32 + 1 values, so getrandbits(33) returns more than one word.
 @example(seed=3, t=F(2), a_range=(2, 6), z_range=(-50, 50), k_den_max=2**31)
 # z ranges over 2^64 values, drawn with getrandbits(65).

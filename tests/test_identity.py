@@ -192,6 +192,30 @@ def test_classify_rational():
     assert classify(tup(F(15, 16), 2, 9, 17, -3)) is Classification.NONTRIVIAL_RATIONAL
 
 
+@pytest.mark.parametrize(
+    "values, tag",
+    [
+        # exactly one fractional entry, in each of the five places
+        ((F(20, 3), 2, 3, 4, 5), Classification.NONTRIVIAL_RATIONAL),
+        ((2, F(27, 2), 4, 19, 28), Classification.NONTRIVIAL_RATIONAL),
+        ((1, 2, F(-13, 11), 2, 2), Classification.NONTRIVIAL_RATIONAL),
+        ((1, 2, 2, F(-13, 11), 2), Classification.NONTRIVIAL_RATIONAL),
+        ((1, 2, 2, 2, F(-13, 11)), Classification.NONTRIVIAL_RATIONAL),
+        # all-integer tuples, one for each other tag
+        ((2, 3, 5, -17, 7), Classification.GENERAL),
+        ((2, 2, 6, 30, 869), Classification.PERFECT),
+        ((2, 3, 4, 32, 991), Classification.SUPER_PERFECT),
+        ((2, 3, 5, 13, 127), Classification.PRIME),
+    ],
+    ids=["t", "A", "x", "y", "z", "general", "perfect", "super-perfect", "prime"],
+)
+def test_verified_class_reads_every_denominator(values, tag):
+    identity = tup(*values)
+    assert verify_tuple(identity)
+    assert identity_module._verified_class(identity) is tag
+    assert classify(identity) is tag
+
+
 def test_classify_sorts_xyz_before_ordering_check():
     assert classify(tup(2, 3, 11, 7, 19)) is Classification.PRIME
 
