@@ -39,7 +39,6 @@ from .families import (
     discover,
     general_infinite_family,
     long_identity,
-    normalize_tuple,
     rebak_family,
     rebak_variant_family,
     surd_family_high,

@@ -6,11 +6,13 @@ here.  ``Surd`` represents ``p + q*sqrt(d)`` with rational ``p``, ``q`` and a
 squarefree integer radicand ``d``, so equality and hashing are structural;
 arithmetic results keep their operands' normalized field.  Immutable: the
 fields are set once, through the slot descriptors, when a ``Surd`` is built.
-A radicand is made squarefree by ``squarefree_decompose``: one gcd with the
-product of the primes below 4096 finds its small primes, Miller-Rabin with
-the fewest exact bases and Pollard rho split the rest, and a cofactor past
-1,000 bits is refused, so no input factors for minutes.  Its results are
-cached, because every surd literal of a record repeats its field's radicand.
+A radicand n is written f*s*s, f squarefree, by ``squarefree_decompose``:
+gcd(n, P), P the product of the primes below 4096, holds its small primes,
+Miller-Rabin with the fewest exact bases and Pollard rho find the rest, and
+a cofactor past 1,000 bits is refused, so no input factors for minutes.  A
+gcd chain puts each prime in f when its exponent is odd and in s once per
+pair.  Its results are cached, because every surd literal of a record
+repeats its field's radicand.
 The literal grammars of ``parse_rational`` and ``parse_surd`` are ASCII only.
 """
 
@@ -229,10 +231,13 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     """Write ``n = s*s*f`` with ``f`` squarefree; return ``(f, s)``.
 
     ``n`` must be a nonnegative int; ``squarefree_decompose(0) == (0, 1)``.
-    The primes below 4096 that divide n are those of ``gcd(n, P)``, P their
-    product, so one gcd replaces up to 564 trial divisions of n.  The
-    cofactor left has no prime factor below 4096; a square is read off by
-    ``isqrt``, anything else is split by Pollard rho.
+    Its primes below 4096 are those of g = ``gcd(n, P)``, P their product.
+    A chain of passes splits off their part: pass k divides n by g, the
+    primes of exponent >= k, puts g into f if k is odd and moves it from f
+    into s if k is even, then sets g = gcd(n, g).  So a prime ends in f when
+    its exponent is odd and in s once per pair.  The cofactor left has no
+    prime factor below 4096; a square is read off by ``isqrt``, anything
+    else is factored by Pollard rho and split by the same chain.
     ``FactoringLimitError`` if a cofactor that is not a square has more than
     1,000 bits (its factoring could take minutes), checked before any prime
     test, or if rho runs out of steps on it.  The last 64 distinct results
@@ -267,19 +272,9 @@ _squarefree.cache_clear = _decomposed.clear
 
 
 def _decompose(n: int) -> tuple[int, int]:
-    if n in (0, 1):
+    if n in (0, 1):  # gcd(0, g) = g: the chain of _split would not end
         return n, 1
-    f, s = 1, 1
-    g = gcd(n, _trial_product())
-    # g is squarefree: once p * p > g, what is left of it is 1 or a prime.
-    for p in _trial_primes():
-        if p * p > g:
-            break
-        if g % p == 0:
-            g //= p
-            n, f, s = _divide_out(n, p, f, s)
-    if g > 1:
-        n, f, s = _divide_out(n, g, f, s)
+    n, f, s = _split(n, gcd(n, _trial_product()))
     if n > 1:
         r = isqrt(n)
         if r * r == n:
@@ -291,21 +286,25 @@ def _decompose(n: int) -> tuple[int, int]:
         else:
             exponents: dict[int, int] = {}
             _factor(n, exponents)
-            for p, e in exponents.items():
-                s *= p ** (e // 2)
-                if e % 2:
-                    f *= p
+            _, cofactor_f, cofactor_s = _split(n, prod(exponents))
+            f, s = f * cofactor_f, s * cofactor_s
     return f, s
 
 
-def _divide_out(n: int, p: int, f: int, s: int) -> tuple[int, int, int]:
-    # Every power of the prime p, which divides n, moved from n into f and s.
-    while n % (p * p) == 0:
-        n //= p * p
-        s *= p
-    if n % p == 0:
-        n //= p
-        f *= p
+def _split(n: int, g: int) -> tuple[int, int, int]:
+    # (n/m, f, s), m = f*s*s the part of n over the primes of g, distinct
+    # primes that all divide n: the chain of squarefree_decompose's docstring.
+    f = s = 1
+    odd = True
+    while g > 1:
+        n //= g
+        if odd:
+            f *= g
+        else:
+            f //= g
+            s *= g
+        odd = not odd
+        g = gcd(n, g)
     return n, f, s
 
 

@@ -121,22 +121,6 @@ def surd_family_low(a: Fraction) -> VariationIdentity:
     return _surd_family(a, 2 - a, -1)
 
 
-def normalize_tuple(identity: IdentityTuple) -> IdentityTuple:
-    """Canonical representative: A replaced by |A| (only A^2 enters the
-    identity) and x, y, z in ascending order.  The entries of a valid tuple
-    stay valid under both, so the result skips the constructor's checks."""
-    A, x, y, z = identity.A, identity.x, identity.y, identity.z
-    if A < 0:
-        A = -A
-    if y < x:
-        x, y = y, x
-    if z < y:
-        y, z = z, y
-        if y < x:
-            x, y = y, x
-    return IdentityTuple._of_checked((identity.t, A, x, y, z))
-
-
 def discover(
     seed: int,
     trials: int,
@@ -165,8 +149,8 @@ def discover(
     A square-N draw makes one ``build_tuple(t, A, z, p/m)`` call.  It is a
     hit when its roots hi >= lo are rational, every condition flag holds
     (the rule of ``ConstructionResult.identity()``; the flags rule out 0 and
-    +-1 for the roots) and its tuple verifies.  Its ``normalize_tuple`` form
-    is decided in ints: A becomes |A|, and z goes after hi = hn/hd unless
+    +-1 for the roots) and its tuple verifies.  Its normal form, |A| and
+    x <= y <= z, is decided in ints: z goes after hi = hn/hd unless
     z hd < hn, then before lo = ln/ld if z ld < ln.  Each distinct key
     (|A|, xn, xd, yn, yd, zn, zd) of entries in lowest terms is built
     unchecked and verified once.  The hits sort by (|A|, xn L/xd, yn L/yd,

@@ -216,15 +216,11 @@ def _verified_class(identity: IdentityTuple) -> Classification:
     # classify's tag for a tuple the caller has verified.
     t, A, x, y, z = identity
     if t.denominator == A.denominator == x.denominator == y.denominator == z.denominator == 1:
-        return _integer_class(t.numerator, A.numerator, x.numerator, y.numerator, z.numerator)
+        t, A, x, y, z = t.numerator, A.numerator, x.numerator, y.numerator, z.numerator
+        if min(t, A, x, y, z) < 2:
+            return Classification.GENERAL
+        return _ordered_class(t, A, *sorted((x, y, z)))
     return Classification.NONTRIVIAL_RATIONAL
-
-
-def _integer_class(t: int, A: int, x: int, y: int, z: int) -> Classification:
-    # classify's tag for an integer tuple that verifies.
-    if min(t, A, x, y, z) < 2:
-        return Classification.GENERAL
-    return _ordered_class(t, A, *sorted((x, y, z)))
 
 
 def _ordered_class(t: int, A: int, x: int, y: int, z: int) -> Classification:

@@ -6,6 +6,9 @@ solves z in closed form with vectorized int64 arithmetic, then confirms each
 integer hit exactly with Fractions before reporting it.  With limit = 2000
 the products stay below ~1e14, far inside int64.
 
+``normalize_tuple`` is the normal form of a ``discover`` hit: A replaced by
+|A| (only A^2 enters the identity) and x, y, z in ascending order.
+
 ``discover_reference`` is the seeded search as it was written with
 ``Random.randint`` and a ``Fraction`` k per draw, tested with
 ``construct._cleared``.
@@ -21,7 +24,7 @@ from math import isqrt
 
 import numpy as np
 
-from ramid import IdentityTuple, build_tuple, normalize_tuple, verify_tuple
+from ramid import IdentityTuple, build_tuple, verify_tuple
 from ramid.construct import _cleared
 from ramid.exact import _strong_lucas
 
@@ -78,6 +81,10 @@ def brute_force_super_perfect(limit: int = 2000) -> set[IdentityTuple]:
         assert verify_tuple(identity), identity
         confirmed.add(identity)
     return confirmed
+
+
+def normalize_tuple(identity: IdentityTuple) -> IdentityTuple:
+    return IdentityTuple(identity.t, abs(identity.A), *sorted(identity[2:]))
 
 
 def discover_reference(

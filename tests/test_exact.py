@@ -228,10 +228,21 @@ def test_squarefree_decompose_across_the_trial_bound():
     for s, f, g in itertools.product(parts, parts, (1, 5, 4091, 4099)):
         n = s * s * f * g
         assert squarefree_decompose(n) == _squarefree_decompose_reference(n), n
+    # Every exponent from 1 to 7 on trial primes at both ends, alone and all
+    # at once (equal exponents, then four different ones), times cofactors
+    # past the bound.
+    for e in range(1, 8):
+        others = [(e + i) % 7 + 1 for i in range(3)]
+        bases = (2**e, 3**e, 4091**e, 4093**e, (2 * 3 * 4091 * 4093) ** e,
+                 2**e * 3 ** others[0] * 4091 ** others[1] * 4093 ** others[2])
+        for base, c in itertools.product(bases, (1, 4099, 4099**2, 4099 * 4111)):
+            n = base * c
+            assert squarefree_decompose(n) == _squarefree_decompose_reference(n), n
     # One trial prime in a high power, a last prime left in the gcd, and
     # every trial prime at once.
     product = prod(_trial_primes())
-    for n in (2**61, 3**40 * 4093**3, product, product**2 * 4099):
+    for n in (2**61, 3**40 * 4093**3, product, product**2 * 4099,
+              product * 4091 * 4099, product**3):
         assert squarefree_decompose(n) == _squarefree_decompose_reference(n), n
 
 
@@ -312,6 +323,9 @@ def test_strong_lucas_pseudoprimes_are_the_known_ones():
 def test_surd_normalize_square_part():
     s = Surd(0, 1, 8)
     assert (s.p, s.q, s.d) == (0, 2, 2)
+    # 2^5 3^4 4091^3 4093^2 4099: odd and even exponents on both sides of
+    # the trial bound.
+    assert Surd(1, 1, 12186664168090332002944032) == Surd(1, 602800668, 33538018)
 
 
 def test_surd_normalize_rational_embedding():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from brute import discover_reference
+from brute import discover_reference, normalize_tuple
 from conftest import (
     GENERAL_GRID,
     LONG_GRID,
@@ -33,7 +33,6 @@ from ramid import (
     discover,
     general_infinite_family,
     long_identity,
-    normalize_tuple,
     rebak_family,
     rebak_variant_family,
     render_latex,
