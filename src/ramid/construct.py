@@ -45,13 +45,16 @@ gamma and beta to G/M and B/M with M the lcm of their denominators: none when
 N < 0, (G +- isqrt(N)) / (2M) when N is a square, and otherwise
 G/(2M) +- (s/(2M)) sqrt(f), where N = s^2 f with f squarefree.
 
-``build_tuple`` reads the same roots from its own integers, without clearing
-gamma and beta again.  Divide G, B and M by c = gcd(G, B, M), and N by c^2.
-The reduced M/c is the lcm of the reduced denominators of gamma and beta: a
-prime power p^e exactly dividing M/c cannot divide both G/c and B/c, so p^e
-exactly divides the denominator of gamma or of beta.  Hence the reduced
-triple is the one ``solve_roots`` clears to, its N is the same, and so are
-the roots, surds included.
+``build_tuple`` reads its roots through ``solve_roots`` on the gamma and beta
+it builds, so the two always agree, surds included.
+
+Each (t, A, z) line is a Moebius map between the two roots.  With
+a = t (A^2-1)(z-1), b = A^2 (z+1), c = a - b and s = a + b, the squared
+relation t (A^2-1)(x-1)(y-1)(z-1) = A^2 (x+1)(y+1)(z+1) reads
+c xy - s (x+y) + c = 0.  So for c != 0 every rational y != s/c gives the
+other root x = (s y - c)/(c y - s), and ``recover_k`` gives the k that builds
+the pair.  For example (t, A, z) = (2, 3, 19) and y = 5 give x = 31, and
+(2, 3, 5, 19, 31) verifies.
 
 The inverse direction recovers k = (xy - (x+y) + 1) / (2 A^2 (z+1)) and
 accepts it only if the companion equation
@@ -67,7 +70,7 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
 from .errors import TrivialInputError
 from .exact import Surd, _clear_pair, as_rational, squarefree_decompose
@@ -156,17 +159,11 @@ def solve_roots(gamma: Fraction, beta: Fraction) -> RootPair:
 
     Surd roots need the squarefree part of N, which comes from factoring N
     (``squarefree_decompose``), so their cost grows with N's largest prime
-    factors; the rational and negative cases need only ``isqrt``.  No search
-    calls it; it stays public as the reference the tests hold the roots of
-    ``build_tuple`` to, and the benchmark's tracer counts its calls."""
+    factors; the rational and negative cases need only ``isqrt``.  It is the
+    one root reader: ``build_tuple`` reads its roots through it."""
     gamma, beta = as_rational("gamma", gamma), as_rational("beta", beta)
     g, b, m = _clear_pair(gamma, beta)
-    return _roots(g, b, m, g * g - 4 * b * m)
-
-
-def _roots(g: int, b: int, m: int, n: int) -> RootPair:
-    # solve_roots for gamma = g/m and beta = b/m, with m > 0 the lcm of their
-    # reduced denominators and n = g^2 - 4bm; the inputs are not checked.
+    n = g * g - 4 * b * m
     if n < 0:
         return RootPair("none")
     r, m2 = isqrt(n), 2 * m
@@ -192,9 +189,7 @@ def build_tuple(
     g, b, m, n = _cleared(t, A, z, k)
     gamma, beta = Fraction(g, m), Fraction(b, m)
     conditions = ConditionReport(n >= 0, b != 0, m - g + b != 0, m + g + b != 0)
-    c = gcd(g, b, m)  # dividing by c gives solve_roots' integers (module docstring)
-    roots = _roots(g // c, b // c, m // c, n // (c * c))
-    disc = Fraction(n, m * m)
+    roots, disc = solve_roots(gamma, beta), Fraction(n, m * m)
     return ConstructionResult(t, A, z, k, gamma, beta, disc, roots, conditions)
 
 

@@ -228,7 +228,7 @@ def discover(
         else:
             key, xyz = (a, z, 1, ln, ld, hn, hd), (result.z, lo, hi)
         if key not in found:
-            hit = IdentityTuple._of_checked((t, result.A if A > 0 else -result.A, *xyz))
+            hit = tuple.__new__(IdentityTuple, (t, result.A if A > 0 else -result.A, *xyz))
             found[key] = hit if verify_tuple(hit) else None
     keys = [key for key, hit in found.items() if hit is not None]
     L = lcm(*[d for key in keys for d in key[2::2]])

@@ -19,9 +19,10 @@ Both records are immutable named tuples (``collections.namedtuple``
 subclasses without an instance dict), equal to, hashed and ordered as the
 plain tuple of their fields.  Their checks and the canonical form below run in
 ``__new__``, which ``copy`` and pickle (every protocol, through ``__reduce__``)
-call too, and ``_make`` (so ``_replace``) calls the class.  Only
-``IdentityTuple._of_checked``, the build loop of ``enumeration._run_cells``
-and ``VariationIdentity.from_tuple`` skip them, for fields known to pass.
+call too, and ``_make`` (so ``_replace``) calls the class.  Three builds
+skip them with ``tuple.__new__``, for fields known to pass: the build loop of
+``enumeration._run_cells``, the hits of ``families.discover`` and
+``VariationIdentity.from_tuple``.
 
 A variation is stored in canonical form, so equal identities compare and
 serialize equal: each entry is a positive surd (|v| for a radicand entry v,
@@ -170,13 +171,6 @@ class IdentityTuple(namedtuple("IdentityTuple", "t A x y z")):
         return _json_line(
             str(self.t), str(self.A), str(self.x), str(self.y), str(self.z), classification
         )
-
-    @classmethod
-    def _of_checked(cls, entries: Iterable[Fraction]) -> "IdentityTuple":
-        """A tuple from an iterable of the five ``Fraction``s t, A, x, y, z,
-        unchecked: the caller has made sure that there are five, that t is
-        nonzero and that no other entry is 0, 1 or -1."""
-        return tuple.__new__(cls, entries)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "IdentityTuple":

@@ -177,7 +177,8 @@ def test_surd_roots_decompose_the_discriminant_once(monkeypatch):
 
 
 def test_build_tuple_decomposes_the_n_of_solve_roots(monkeypatch):
-    # G, B and M share the factor 3 here; build_tuple divides it out first.
+    # G, B and M share the factor 3 here; solve_roots clears gamma and beta
+    # to the reduced integers, so both calls factor the same N.
     seen = []
 
     def recorded(n):
@@ -353,7 +354,7 @@ def test_n_is_a_square_exactly_when_the_roots_are_rational(inputs):
 @example((F(15, 16), F(2), F(17), F(1, 2)))  # none, gcd(G, B, M) = 16
 @example((F(2), F(3), F(2), F(1, 2)))  # none, gcd(G, B, M) = 1
 def test_build_tuple_roots_equal_solve_roots(inputs):
-    # build_tuple reads its roots from its own reduced integers; they must be
+    # build_tuple reads its roots through solve_roots; they must be
     # solve_roots' roots for its gamma and beta, down to each Surd's field.
     result = build_tuple(*inputs)
     expected = solve_roots(result.gamma, result.beta)
@@ -364,6 +365,27 @@ def test_build_tuple_roots_equal_solve_roots(inputs):
             assert (got.p, got.q, got.d) == (want.p, want.q, want.d)
     elif expected.kind == "rational":
         assert all(type(v) is Fraction for v in result.roots.rational)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_NONZERO, _NONTRIVIAL, _NONTRIVIAL, _NONTRIVIAL)
+@example(F(2), F(3), F(19), F(5))  # x = 31
+@example(F(2), F(3), F(19), F(7))  # x = 11, the notebook tuple
+def test_moebius_map_gives_the_roots_of_build_tuple(t, A, z, y):
+    # The (t, A, z) line of the module docstring, read without solve_roots:
+    # the squared relation is c xy - s (x+y) + c = 0, so x = (s y - c)/(c y - s).
+    a, b = t * (A * A - 1) * (z - 1), A * A * (z + 1)
+    c, s = a - b, a + b
+    assume(c != 0 and c * y != s)
+    x = (s * y - c) / (c * y - s)
+    assume(x not in (0, 1, -1))
+    identity = IdentityTuple(t, A, x, y, z)
+    assert identity.radicand() == identity.rhs_product() ** 2
+    k = recover_k(identity)
+    assert k is not None
+    roots = build_tuple(t, A, z, k).roots
+    assert roots.kind == "rational" and set(roots.rational) == {x, y}
+    assert verify_tuple(identity) == (identity.rhs_product() > 0)
 
 
 @st.composite

@@ -523,36 +523,23 @@ def test_normalize_tuple():
     )
 
 
-_ENTRIES = st.builds(F, st.integers(-30, 30), st.integers(1, 6)).filter(
-    lambda v: v not in (0, 1, -1)
-)
-
-
-@st.composite
-def _valid_tuples(draw):
-    """Tuples that pass the public checks, with equal x, y, z entries common."""
-    t = draw(st.builds(F, st.integers(-30, 30).filter(bool), st.integers(1, 6)))
-    entries = [draw(_ENTRIES)]
-    for _ in range(2):
-        entries.append(draw(st.one_of(st.sampled_from(entries), _ENTRIES)))
-    order = draw(st.permutations(entries))
-    return IdentityTuple(t, draw(_ENTRIES), *order)
-
-
-@settings(max_examples=150, deadline=None)
-@given(_valid_tuples())
-@example(IdentityTuple(F(-1, 2), F(-5, 3), F(7, 2), F(-2), F(7, 2)))
-@example(IdentityTuple(F(3), F(2), F(5), F(5), F(5)))
-def test_normalize_tuple_equals_the_public_constructor(identity):
-    got = normalize_tuple(identity)
-    want = IdentityTuple(identity.t, abs(identity.A),
-                         *sorted((identity.x, identity.y, identity.z)))
-    assert got == want
-    assert hash(got) == hash(want)
-    assert repr(got) == repr(want)
-    assert all(type(v) is Fraction for v in (got.t, got.A, got.x, got.y, got.z))
-    again = normalize_tuple(got)
-    assert again == got and repr(again) == repr(got)
+def test_tuple_families_are_curves_through_build_tuple():
+    # Each tuple family is a curve (A, z, k) through the construction, at the
+    # family's t: rebak (a, 6a+1, 1/(2a)), rebak-variant (a, 6a+5, 1/(2a+2))
+    # and general-infinite (k, 7) at t = 2 and construction parameter -1/2.
+    # build_tuple orders the roots, so x and y come back as a set.
+    curves = (
+        [(rebak_family(a), (a, 6 * a + 1, 1 / (2 * a))) for a in REBAK_GRID]
+        + [(rebak_variant_family(a), (a, 6 * a + 5, 1 / (2 * a + 2))) for a in REBAK_VARIANT_GRID]
+        + [(general_infinite_family(k), (k, 7, F(-1, 2))) for k in GENERAL_GRID]
+    )
+    swapped = 0
+    for member, curve in curves:
+        built = build_tuple(member.t, *curve).identity()
+        assert (built.t, built.A, built.z) == (member.t, member.A, member.z), member
+        assert {built.x, built.y} == {member.x, member.y}, member
+        swapped += built.x != member.x
+    assert (len(curves), swapped) == (160, 90)
 
 
 def _family_render_calls():
