@@ -19,10 +19,9 @@ Both records are immutable named tuples (``collections.namedtuple``
 subclasses without an instance dict), equal to, hashed and ordered as the
 plain tuple of their fields.  Their checks and the canonical form below run in
 ``__new__``, which ``copy`` and pickle (every protocol, through ``__reduce__``)
-call too, and ``_make`` (so ``_replace``) calls the class.  Three builds
+call too, and ``_make`` (so ``_replace``) calls the class.  Two builds
 skip them with ``tuple.__new__``, for fields known to pass: the build loop of
-``enumeration._run_cells``, the hits of ``families.discover`` and
-``VariationIdentity.from_tuple``.
+``enumeration._run_cells`` and the hits of ``families.discover``.
 
 A variation is stored in canonical form, so equal identities compare and
 serialize equal: each entry is a positive surd (|v| for a radicand entry v,
@@ -34,15 +33,6 @@ and a is 0 or c, and as c1 c2 > 0, v1 < v2 exactly when
 (a1 c2 - a2 c1) + (b1 c2 - b2 c1) sqrt(f) < 0.  A negative entry is flipped
 on those integers, and each canonical entry is built once as a ``Surd``
 (a ``Surd`` entry that needs no flip is kept as it is).
-
-A tuple (t, A, x, y, z) is the variation with scale t, radicand entries
-A, x, y, z and right side (x, +), (y, +), (z, +).  Its entries are rationals
-outside {0, +-1}, so its canonical form is plain order: the radicand is
-|A|, |x|, |y|, |z| ascending, and the right side is (|v|, sign v) for v in
-x, y, z, by value with "+" first.  With v = n/d and L the common denominator,
-that is the order of the integers |n| (L/d).  ``VariationIdentity.from_tuple``
-builds this form directly; every other variation goes through the general
-canonicalization above.
 
 For a tuple the check is made in integers.  Each radicand factor splits as
 1 - 1/v^2 = (1 - 1/v)(1 + 1/v), and the right side s = (1 + 1/x)(1 + 1/y)
@@ -72,7 +62,6 @@ import json
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache, cmp_to_key
-from math import lcm
 from typing import Iterable
 
 from .errors import IncompatibleFieldError, PreconditionError, TrivialInputError
@@ -326,29 +315,10 @@ class VariationIdentity(namedtuple("VariationIdentity", "scale radicand_entries 
 
     @classmethod
     def from_tuple(cls, identity: IdentityTuple) -> "VariationIdentity":
-        """``cls(t, (A, x, y, z), ((x, 1), (y, 1), (z, 1)))``, built directly.
-
-        Every entry of a tuple is a rational outside {0, 1, -1}, so no entry
-        is rejected, the field is Q, and the flip of a negative v gives |v| on
-        the radicand and (|v|, -1) on the right side.  With v = n/d (d > 0) and
-        L the lcm of the denominators, |v| < |w| exactly when
-        |n| (L/d) < |m| (L/e) for w = m/e, so both lists sort by those
-        integers, "+" before "-" among equal values on the right side.  One
-        ``Surd`` per distinct |v| serves both lists.
-        """
-        values = identity[1:]
-        ratios = [v.as_integer_ratio() for v in values]
-        L = lcm(*[d for _, d in ratios])
-        surds: dict[int, Surd] = {}
-        keys = []  # per entry, (|v| L, -sign of v)
-        for v, (n, d) in zip(values, ratios):
-            key = abs(n) * (L // d)
-            if key not in surds:
-                surds[key] = Surd._field(v if n > 0 else -v, _ZERO, 0)
-            keys.append((key, -1 if n > 0 else 1))
-        radicand = tuple([surds[key] for key, _ in sorted(keys)])
-        rhs = tuple([(surds[key], -m) for key, m in sorted(keys[1:])])
-        return tuple.__new__(cls, (identity.t, radicand, rhs))  # canonical already
+        """The general constructor on a tuple's entries:
+        ``cls(t, (A, x, y, z), ((x, 1), (y, 1), (z, 1)))``."""
+        t, A, x, y, z = identity
+        return cls(t, (A, x, y, z), ((x, 1), (y, 1), (z, 1)))
 
 
 def _times(x: tuple[int, int], y: tuple[int, int], f: int) -> tuple[int, int]:

@@ -35,6 +35,7 @@ from ramid import (
     build_tuple,
     classify,
     is_prime,
+    long_identity,
     rebak_family,
     rebak_variant_family,
     render_latex,
@@ -630,6 +631,9 @@ def test_from_tuple_is_the_general_canonical_form(identity):
     assert direct == general and direct.to_json() == general.to_json()
     assert hash(direct) == hash(general)
     assert all(type(v) is Surd for v in direct.radicand_entries)
+    # A tuple renders in its own int order, without building the variation.
+    assert render_latex(identity, unchecked=True) == render_latex(general, unchecked=True)
+    assert render_text(identity, unchecked=True) == render_text(general, unchecked=True)
 
 
 def test_renders_of_a_tuple_skip_the_general_canonicalizer(monkeypatch):
@@ -660,4 +664,30 @@ def test_renders_of_entries_with_no_rational_part():
     )
     assert render_text(identity) == (
         f"sqrt(17/18 * (1 - 1/({v})^2)) = (1 + 1/({v})) * (1 - 1/({v}))"
+    )
+
+
+def test_renders_of_rational_variation_entries_pinned():
+    # Recorded before rational entries were formatted from their ints: a
+    # negative fractional scale with fractional entries (false, so unchecked),
+    # and long_identity(3, 2) with integer entries and a repeated 7.
+    record = {"scale": "-17/18", "radicand": ["5/2", "3"], "rhs": [["5/2", "+"], ["7/3", "-"]]}
+    identity = VariationIdentity.from_json(json.dumps(record))
+    assert render_latex(identity, unchecked=True) == (
+        r"\sqrt{-\frac{17}{18}\left(1-\frac{1}{\left(\frac{5}{2}\right)^2}\right)"
+        r"\left(1-\frac{1}{3^2}\right)} = "
+        r"\left(1-\frac{1}{\frac{7}{3}}\right)\left(1+\frac{1}{\frac{5}{2}}\right)"
+    )
+    assert render_text(identity, unchecked=True) == (
+        "sqrt(-17/18 * (1 - 1/(5/2)^2) * (1 - 1/3^2)) = (1 - 1/(7/3)) * (1 + 1/(5/2))"
+    )
+    identity = long_identity(3, 2)
+    squares = "".join(rf"\left(1-\frac{{1}}{{{v}^2}}\right)" for v in (5, 6, 7, 7, 8, 11))
+    assert render_latex(identity) == (
+        rf"\sqrt{{{squares}}} = "
+        r"\left(1+\frac{1}{5}\right)\left(1-\frac{1}{7}\right)\left(1-\frac{1}{11}\right)"
+    )
+    assert render_text(identity) == (
+        "sqrt((1 - 1/5^2) * (1 - 1/6^2) * (1 - 1/7^2) * (1 - 1/7^2) * (1 - 1/8^2) * (1 - 1/11^2))"
+        " = (1 + 1/5) * (1 - 1/7) * (1 - 1/11)"
     )
