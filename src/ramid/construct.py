@@ -43,10 +43,9 @@ without building the surd roots that ``build_tuple`` reports.
 ``solve_roots`` reads its roots from N by the same argument, after clearing
 gamma and beta to G/M and B/M with M the lcm of their denominators: none when
 N < 0, (G +- isqrt(N)) / (2M) when N is a square, and otherwise
-G/(2M) +- (s/(2M)) sqrt(f), where N = s^2 f with f squarefree.
-
-``build_tuple`` reads its roots through ``solve_roots`` on the gamma and beta
-it builds, so the two always agree, surds included.
+G/(2M) +- (s/(2M)) sqrt(f), where N = s^2 f with f squarefree.  It is the
+one root reader: ``build_tuple``, on the gamma and beta it builds, and the
+surd families of ``families`` read their roots through it.
 
 Each (t, A, z) line is a Moebius map between the two roots.  With
 a = t (A^2-1)(z-1), b = A^2 (z+1), c = a - b and s = a + b, the squared
@@ -159,8 +158,7 @@ def solve_roots(gamma: Fraction, beta: Fraction) -> RootPair:
 
     Surd roots need the squarefree part of N, which comes from factoring N
     (``squarefree_decompose``), so their cost grows with N's largest prime
-    factors; the rational and negative cases need only ``isqrt``.  It is the
-    one root reader: ``build_tuple`` reads its roots through it."""
+    factors; the rational and negative cases need only ``isqrt``."""
     gamma, beta = as_rational("gamma", gamma), as_rational("beta", beta)
     g, b, m = _clear_pair(gamma, beta)
     n = g * g - 4 * b * m

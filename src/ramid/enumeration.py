@@ -59,10 +59,11 @@ from __future__ import annotations
 
 import time
 from collections import namedtuple
+from collections.abc import Callable, Iterable
 from fractions import Fraction
+from io import TextIOBase
 from itertools import chain, compress
 from math import isqrt
-from typing import Callable, Iterable, TextIO
 
 from .exact import as_rational, is_prime, require_int
 from .identity import IdentityTuple, _json_line, _ordered_class
@@ -86,7 +87,7 @@ class EnumerationReport(namedtuple(
             "wall_time_seconds": self.wall_time,
         }
 
-    def write_jsonl(self, stream: TextIO) -> None:
+    def write_jsonl(self, stream: TextIOBase) -> None:
         if len(self.lines) != len(self.identities):
             raise ValueError("a report needs one JSON line per identity")
         stream.write("".join(self.lines))

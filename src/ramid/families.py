@@ -24,9 +24,9 @@ import random
 from fractions import Fraction
 from math import isqrt, lcm
 
-from .construct import _coefficients, build_tuple
+from .construct import _coefficients, build_tuple, solve_roots
 from .errors import ConfigurationError, FamilyDomainError, TrivialInputError
-from .exact import Surd, as_rational, require_int
+from .exact import as_rational, require_int
 from .identity import IdentityTuple, VariationIdentity, verify_tuple
 
 
@@ -95,30 +95,31 @@ def long_identity(b: int, n: int) -> VariationIdentity:
     )
 
 
-def _surd_family(a: Fraction, r: Fraction, sign: int) -> VariationIdentity:
-    # s = sqrt(r); ``sign`` is the right-side sign of 2s+1, and 2s-1 takes the other.
-    s = Surd.sqrt_rational(r)
-    plus, minus = 2 * s + 1, 2 * s - 1
-    return VariationIdentity(
-        radicand_entries=(a, a - 1, 2 * a + 1, plus, minus),
-        rhs_entries=((2 * a + 1, 1), (plus, sign), (minus, -sign)),
-    )
+def _surd_family(a: Fraction, gamma: int, beta: Fraction) -> VariationIdentity:
+    # The construction's shape; the canonical form flips each negative entry.
+    roots, z = solve_roots(gamma, beta), 2 * a + 1
+    x, y = roots.rational or roots.surd
+    return VariationIdentity(1, (a, a - 1, z, x, y), ((z, 1), (x, 1), (y, 1)))
 
 
 @_family
 def surd_family_high(a: Fraction) -> VariationIdentity:
-    """Identity over Q(sqrt(a-1)) for a >= 3; all-rational when a-1 is a square."""
+    """Identity over Q(sqrt(a-1)) for a >= 3; all-rational when a-1 is a square.
+    x, y = 1 +- 2 sqrt(a-1) are the roots for (gamma, beta) = (2, 5 - 4a), on
+    the curve t = a(a-2)/(a-1)^2, A = a, z = 2a+1, k = -(a-1)/(a^2 (a+1))."""
     a = as_rational("a", a)
     _reject(a < 3, f"a must be >= 3 (got {a})")
-    return _surd_family(a, a - 1, 1)
+    return _surd_family(a, 2, 5 - 4 * a)
 
 
 @_family
 def surd_family_low(a: Fraction) -> VariationIdentity:
-    """Identity over Q(sqrt(2-a)) for a <= 1 outside {1, 0, -1/2, -1}."""
+    """Identity over Q(sqrt(2-a)) for a <= 1 outside {1, 0, -1/2, -1}.
+    x, y = -1 +- 2 sqrt(2-a) are the roots for (gamma, beta) = (-2, 4a - 7), on
+    the curve t = a(a-2)/(a-1)^2, A = a, z = 2a+1, k = (a-1)/(a^2 (a+1))."""
     a = as_rational("a", a)
     _reject(a > 1, f"a must be <= 1 (got {a})")
-    return _surd_family(a, 2 - a, -1)
+    return _surd_family(a, -2, 4 * a - 7)
 
 
 def discover(

@@ -60,9 +60,9 @@ from __future__ import annotations
 import enum
 import json
 from collections import namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import cache, cmp_to_key
-from typing import Iterable
 
 from .errors import IncompatibleFieldError, PreconditionError, TrivialInputError
 from .exact import (

@@ -43,6 +43,7 @@ from ramid import (
     verify_tuple,
     verify_variation,
 )
+from ramid import exact
 from ramid.families import generate
 
 F = Fraction
@@ -279,7 +280,7 @@ def test_surd_low_sign_degenerate_window():
 
 
 @pytest.mark.parametrize(
-    "generator, params, normalizations",
+    "generator, params, decompositions",
     [
         (surd_family_high, (F(10**12 + 39),), 1),
         (surd_family_low, (F(-10),), 1),
@@ -287,18 +288,27 @@ def test_surd_low_sign_degenerate_window():
     ],
     ids=["surd-high", "surd-low", "long-identity"],
 )
-def test_generators_normalize_only_the_field_root(monkeypatch, generator, params, normalizations):
-    # Rational entries embed in the identity model; only sqrt(r) normalizes.
-    calls = []
+def test_generators_normalize_only_the_field_root(monkeypatch, generator, params, decompositions):
+    # Entries embed in the identity model without Surd.__init__; a surd member
+    # factors only the N of solve_roots, once.
+    inits, calls = [], []
     init = Surd.__init__
 
     def counted(self, *args):
-        calls.append(args)
+        inits.append(args)
         init(self, *args)
 
     monkeypatch.setattr(Surd, "__init__", counted)
+    decompose = exact.squarefree_decompose
+
+    def decomposed(n):
+        calls.append(n)
+        return decompose(n)
+
+    monkeypatch.setattr("ramid.exact.squarefree_decompose", decomposed)
+    monkeypatch.setattr("ramid.construct.squarefree_decompose", decomposed)
     identity = generator(*params)
-    assert len(calls) == normalizations
+    assert len(inits) == 0 and len(calls) == decompositions
     assert verify_variation(identity)
 
 
@@ -540,6 +550,25 @@ def test_tuple_families_are_curves_through_build_tuple():
         assert {built.x, built.y} == {member.x, member.y}, member
         swapped += built.x != member.x
     assert (len(curves), swapped) == (160, 90)
+
+
+def test_surd_families_are_curves_through_build_tuple():
+    # Both surd families lie on t = a(a-2)/(a-1)^2, A = a, z = 2a+1 with
+    # k = -(a-1)/(a^2 (a+1)) (high) or (a-1)/(a^2 (a+1)) (low): gamma is 2 or
+    # -2 and beta 5-4a or 4a-7, and the roots are the member's entries up to
+    # sign.  Each right-side entry is (|v|, sign v) for v in (z, x, y).
+    curves = [(surd_family_high(a), a, -1, 2, 5 - 4 * a) for a in SURD_HIGH_GRID]
+    curves += [(surd_family_low(a), a, 1, -2, 4 * a - 7) for a in SURD_LOW_GRID]
+    for member, a, sign, gamma, beta in curves:
+        z = 2 * a + 1
+        result = build_tuple(a * (a - 2) / (a - 1) ** 2, a, z, sign * (a - 1) / (a * a * (a + 1)))
+        assert (result.gamma, result.beta) == (gamma, beta), a
+        x, y = result.roots.rational or result.roots.surd
+        signed = [(v, 1) if v > 0 else (-v, -1) for v in (z, x, y)]
+        assert Counter(member.rhs_entries) == Counter(signed), a
+        radicand = [abs(a), abs(a - 1), *(v for v, _ in signed)]
+        assert Counter(member.radicand_entries) == Counter(radicand), a
+    assert len(curves) == 100
 
 
 def _family_render_calls():

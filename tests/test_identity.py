@@ -598,18 +598,19 @@ def test_records_over_one_field_factor_its_radicand_once(monkeypatch):
 
 
 def test_a_member_over_a_square_multiple_of_its_field_is_factored_once(monkeypatch):
-    # a - 1 = 66765422241 = 3^2 * 7418380249: generating decomposes a - 1,
-    # the literals of its record carry 7418380249, and that result is cached too.
+    # a - 1 = 66765422241 = 3^2 * 7418380249: generating decomposes the
+    # construction's N = 16 (a - 1) = 12^2 * 7418380249, the literals of its
+    # record carry 7418380249, and that result is cached too.
     exact._squarefree.cache_clear()
     calls = []
     decompose = exact._decompose
     monkeypatch.setattr("ramid.exact._decompose", lambda n: calls.append(n) or decompose(n))
     member = surd_family_high(66765422242)
-    assert member.field_radicand() == 7418380249 and calls == [66765422241]
+    assert member.field_radicand() == 7418380249 and calls == [1068246755856]
     parsed = VariationIdentity.from_json(member.to_json())
     render_latex(parsed)
     render_text(parsed)
-    assert parsed == member and calls == [66765422241]
+    assert parsed == member and calls == [1068246755856]
 
 
 @settings(max_examples=300, deadline=None)
@@ -624,13 +625,9 @@ def test_tuple_json_round_trip_property(identity):
 @example(tup(2, 3, 7, -7, 19))  # x = -y: "+" comes first
 @example(tup(2, -19, 7, 7, 19))  # x = y and A = -z
 @example(tup(F(-3, 4), F(5, 2), F(-10, 4), F(5, 3), F(5, 2)))
-def test_from_tuple_is_the_general_canonical_form(identity):
+def test_a_tuple_renders_in_the_general_canonical_order(identity):
     x, y, z = identity.x, identity.y, identity.z
     general = VariationIdentity(identity.t, (identity.A, x, y, z), ((x, 1), (y, 1), (z, 1)))
-    direct = VariationIdentity.from_tuple(identity)
-    assert direct == general and direct.to_json() == general.to_json()
-    assert hash(direct) == hash(general)
-    assert all(type(v) is Surd for v in direct.radicand_entries)
     # A tuple renders in its own int order, without building the variation.
     assert render_latex(identity, unchecked=True) == render_latex(general, unchecked=True)
     assert render_text(identity, unchecked=True) == render_text(general, unchecked=True)
