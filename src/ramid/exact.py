@@ -381,16 +381,6 @@ class Surd:
         # pickle and copy rebuild through the constructor, not by setting slots
         return Surd, (self.p, self.q, self.d)
 
-    @classmethod
-    def sqrt_rational(cls, value: Fraction | int) -> Surd:
-        """Exact ``sqrt(value)`` for a nonnegative rational, as a surd."""
-        value = as_rational("value", value)
-        if value < 0:
-            raise ValueError("square root of a negative rational")
-        # sqrt(a/b) = sqrt(a*b)/b
-        return cls(0, Fraction(1, value.denominator),
-                   value.numerator * value.denominator)
-
     @property
     def is_rational(self) -> bool:
         return self.q == 0
@@ -504,10 +494,11 @@ class Surd:
         return float(self.p) + float(self.q) * self.d ** 0.5
 
     def __str__(self) -> str:
-        if self.q == 0:
+        if not self.d:
             return str(self.p)
-        sign = "-" if self.q < 0 else "+"
-        return f"{self.p} {sign} {abs(self.q)}*sqrt({self.d})"
+        n, d = self.q.as_integer_ratio()
+        q = abs(n) if d == 1 else f"{abs(n)}/{d}"
+        return f"{self.p} {'-' if n < 0 else '+'} {q}*sqrt({self.d})"
 
     def __repr__(self) -> str:
         return f"Surd({self.p!r}, {self.q!r}, {self.d})"
@@ -522,8 +513,13 @@ def parse_surd(text: str) -> Surd:
     if not isinstance(text, str):
         raise ValueError(f"not a surd literal: {text!r}")
     text = text.strip()
-    if _RATIONAL_RE.fullmatch(text):
-        return Surd._field(parse_rational(text), _ZERO, 0)
+    if m := _RATIONAL_RE.fullmatch(text):  # built as parse_rational builds it
+        num, den = m.groups()
+        try:
+            p = Fraction(int(num), int(den)) if den else Fraction(int(num))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator: {text!r}") from None
+        return Surd._field(p, _ZERO, 0)
     m = _SURD_RE.fullmatch(text)
     if not m:
         raise ValueError(f"not a surd literal: {text!r}")

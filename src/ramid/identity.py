@@ -27,12 +27,16 @@ A variation is stored in canonical form, so equal identities compare and
 serialize equal: each entry is a positive surd (|v| for a radicand entry v,
 which enters as v^2, and (-w, -s) for a right-side pair (w, s) with w < 0, as
 1 + s/w = 1 + (-s)/(-w)); 0 and +-1 are rejected; both lists ascend, "+" first.
-The signs and the order are decided on each entry cleared once to
-v = (a + b sqrt(f))/c with integers a, b and c > 0: v is 0 or 1 when b = 0
-and a is 0 or c, and as c1 c2 > 0, v1 < v2 exactly when
-(a1 c2 - a2 c1) + (b1 c2 - b2 c1) sqrt(f) < 0.  A negative entry is flipped
-on those integers, and each canonical entry is built once as a ``Surd``
-(a ``Surd`` entry that needs no flip is kept as it is).
+The signs and the order are decided on integers read once from each entry.
+A rational entry (an int, a ``Fraction`` or a ``Surd`` with q = 0) is its
+v = n/c from ``as_integer_ratio()``, c > 0: it is flipped when n < 0 and
+rejected when n is 0 or c.  An irrational entry is cleared to
+v = (a + b sqrt(f))/c with integers a, b != 0 and c > 0, and flipped when
+a + b sqrt(f) < 0.  A list with an irrational entry is ordered exactly: as
+c1 c2 > 0, v1 < v2 exactly when (a1 c2 - a2 c1) + (b1 c2 - b2 c1) sqrt(f) < 0.
+A list over Q is sorted on the integer key (n (L/c), -s), L the lcm of its
+denominators c and s the sign.  Each canonical entry is built once as a
+``Surd`` (a ``Surd`` entry that needs no flip is kept as it is).
 
 For a tuple the check is made in integers.  Each radicand factor splits as
 1 - 1/v^2 = (1 - 1/v)(1 + 1/v), and the right side s = (1 + 1/x)(1 + 1/y)
@@ -52,7 +56,9 @@ the radicand is R = num/(sd D^2) with num = sn prod(w^2 - c^2) and D = prod(w)
 over the radicand entries, and the right side is S = rn/rd with
 rn = prod(w + s c) and rd = prod(w) over the right-side entries.  D and rd are
 positive, so S has the sign of rn, and R = S^2 already makes R nonnegative.
-The identity holds exactly when num rd^2 = sd (rn D)^2 and rn >= 0.
+The identity holds exactly when num rd^2 = sd (rn D)^2 and rn >= 0.  A
+rational entry n/c has w = n, so it multiplies the running pairs by the ints
+n^2 - c^2, n and n + s c; only an irrational entry is cleared as a pair.
 """
 
 from __future__ import annotations
@@ -63,6 +69,7 @@ from collections import namedtuple
 from collections.abc import Iterable
 from fractions import Fraction
 from functools import cache, cmp_to_key
+from math import lcm
 
 from .errors import IncompatibleFieldError, PreconditionError, TrivialInputError
 from .exact import (
@@ -228,19 +235,28 @@ def _canonical(
             p, q, d = value.p, value.q, value.d
         else:
             p, q, d, value = as_rational("entry", value), _ZERO, 0, None
-        f = f or d  # a mix of fields is rejected by field_radicand
-        a, b, c = _clear_pair(p, q)
-        if _sign(a, b, d) < 0:  # q is 0 when b is, and -q would build a Fraction
-            p, q, a, b, sign, value = -p, -q if b else q, -a, -b, -sign, None
-        if b == 0 and a in (0, c):
-            raise TrivialInputError(f"{what} must not be 0, 1 or -1: {p}")
+        if d:
+            f = f or d  # a mix of fields is rejected by field_radicand
+            a, b, c = _clear_pair(p, q)
+            if _sign(a, b, d) < 0:
+                p, q, a, b, sign, value = -p, -q, -a, -b, -sign, None
+        else:
+            (a, c), b = p.as_integer_ratio(), 0
+            if a < 0:
+                p, a, sign, value = -p, -a, -sign, None
+            if a in (0, c):
+                raise TrivialInputError(f"{what} must not be 0, 1 or -1: {p}")
         out.append((a, b, c, sign, Surd._field(p, q, d) if value is None else value))
 
-    def order(x: tuple, y: tuple) -> int:
-        (a1, b1, c1, s1, _), (a2, b2, c2, s2, _) = x, y
-        return _sign(a1 * c2 - a2 * c1, b1 * c2 - b2 * c1, f) or s2 - s1
+    if f:
+        def order(x: tuple, y: tuple) -> int:
+            (a1, b1, c1, s1, _), (a2, b2, c2, s2, _) = x, y
+            return _sign(a1 * c2 - a2 * c1, b1 * c2 - b2 * c1, f) or s2 - s1
 
-    out.sort(key=cmp_to_key(order))
+        out.sort(key=cmp_to_key(order))
+    else:
+        L = lcm(*[c for _, _, c, _, _ in out])
+        out.sort(key=lambda e: (e[0] * (L // e[2]), -e[3]))
     return [(value, sign) for _, _, _, sign, value in out]
 
 
@@ -333,20 +349,32 @@ def verify_variation(identity: VariationIdentity) -> bool:
     ``rhs_product()`` are the ``Surd`` reference for it."""
     f = identity.field_radicand()
     sn, sd = identity.scale.as_integer_ratio()
-    num, D = (sn, 0), (1, 0)
+    n0, n1, D0, D1 = sn, 0, 1, 0  # num and D as pairs
     for v in identity.radicand_entries:
-        a, b, c = _clear_pair(v.p, v.q)
-        num = _times(num, (a * a + b * b * f - c * c, 2 * a * b), f)
-        D = _times(D, (a, b), f)
-    rn, rd = (1, 0), (1, 0)
+        if v.d:
+            a, b, c = _clear_pair(v.p, v.q)
+            w0, w1 = a * a + b * b * f - c * c, 2 * a * b
+            n0, n1 = n0 * w0 + n1 * w1 * f, n0 * w1 + n1 * w0
+            D0, D1 = D0 * a + D1 * b * f, D0 * b + D1 * a
+        else:
+            a, c = v.p.as_integer_ratio()
+            w = a * a - c * c
+            n0, n1, D0, D1 = n0 * w, n1 * w, D0 * a, D1 * a
+    r0, r1, d0, d1 = 1, 0, 1, 0  # rn and rd as pairs
     for v, s in identity.rhs_entries:
-        a, b, c = _clear_pair(v.p, v.q)
-        rn = _times(rn, (a + s * c, b), f)
-        rd = _times(rd, (a, b), f)
-    lhs = _times(num, _times(rd, rd, f), f)
-    rn_d = _times(rn, D, f)
+        if v.d:
+            a, b, c = _clear_pair(v.p, v.q)
+            w = a + s * c
+            r0, r1 = r0 * w + r1 * b * f, r0 * b + r1 * w
+            d0, d1 = d0 * a + d1 * b * f, d0 * b + d1 * a
+        else:
+            a, c = v.p.as_integer_ratio()
+            w = a + s * c
+            r0, r1, d0, d1 = r0 * w, r1 * w, d0 * a, d1 * a
+    lhs = _times((n0, n1), _times((d0, d1), (d0, d1), f), f)
+    rn_d = _times((r0, r1), (D0, D1), f)
     rhs = _times(rn_d, rn_d, f)
-    return lhs == (sd * rhs[0], sd * rhs[1]) and _sign(*rn, f) >= 0
+    return lhs == (sd * rhs[0], sd * rhs[1]) and _sign(r0, r1, f) >= 0
 
 
 def verify(identity: IdentityTuple | VariationIdentity) -> bool:

@@ -165,12 +165,13 @@ def tuples_with_ties(draw):
 
 
 @st.composite
-def variations(draw):
-    """Variations over Q or one field of ``FIELDS``, with up to 6 radicand and
-    4 right-side entries.  Half the time the entries are conjugate pairs and
-    rationals, which makes both sides rational, and the scale is solved from
-    R = S^2: those verify, or fail only on the sign of the right side."""
-    d = draw(st.sampled_from((0,) + FIELDS))
+def variations(draw, fields=(0,) + FIELDS):
+    """Variations over Q or one field of ``fields`` (0 for Q), with up to 6
+    radicand and 4 right-side entries.  Half the time the entries are
+    conjugate pairs and rationals, which makes both sides rational, and the
+    scale is solved from R = S^2: those verify, or fail only on the sign of
+    the right side."""
+    d = draw(st.sampled_from(fields))
     entries = st.builds(
         Surd, _RATIONALS, _RATIONALS if d else st.just(0), st.just(d)
     ).filter(lambda v: v not in (0, 1, -1))

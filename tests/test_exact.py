@@ -344,7 +344,6 @@ def test_surd_normalize_fraction_coefficient():
         pytest.param(Surd, (0.1,), id="Surd-p"),
         pytest.param(Surd, (1, 0.5, 2), id="Surd-q"),
         pytest.param(Surd, (1, 1, 2.7), id="Surd-d"),
-        pytest.param(Surd.sqrt_rational, (0.5,), id="sqrt_rational"),
         pytest.param(solve_z, (2, 3.0, 7, 11), id="solve_z-A"),
         pytest.param(solve_z, (2, 3, 7.0, 11), id="solve_z-x"),
         pytest.param(solve_z, (2, 3, 7, 11.0), id="solve_z-y"),
@@ -572,8 +571,6 @@ def test_surd_rejects_negative_radicand():
         Surd(0, 1, -2)
     with pytest.raises(ValueError, match="^radicand must be nonnegative$"):
         squarefree_decompose(-1)
-    with pytest.raises(ValueError, match="^square root of a negative rational$"):
-        Surd.sqrt_rational(F(-1, 4))
 
 
 def test_surd_fields_keep_their_invariants():

@@ -480,13 +480,24 @@ def _holds_by_surd_arithmetic(identity: VariationIdentity) -> bool:
     return r.sign() >= 0 and s.sign() >= 0 and r == s * s
 
 
-@settings(max_examples=500, deadline=None)
-@given(variations())
-def test_verify_variation_matches_the_surd_reference(identity):
+def _verify_variation_matches_the_surd_reference(identity: VariationIdentity) -> None:
     holds = _holds_by_surd_arithmetic(identity)
     assert verify_variation(identity) == holds
     if holds:
         assert float_agrees(identity)
+
+
+@settings(max_examples=500, deadline=None)
+@given(variations())
+def test_verify_variation_matches_the_surd_reference(identity):
+    _verify_variation_matches_the_surd_reference(identity)
+
+
+@settings(max_examples=300, deadline=None)
+@given(variations(fields=(0,)))
+def test_verify_variation_matches_the_surd_reference_over_q(identity):
+    # Over Q every entry takes verify_variation's rational branch.
+    _verify_variation_matches_the_surd_reference(identity)
 
 
 def test_verify_variation_matches_the_surd_reference_on_families():
@@ -529,11 +540,11 @@ def test_canonical_form_ignores_entry_order_and_signs(identity, rng):
 
 
 @st.composite
-def _entries_of_one_field(draw):
-    """Radicand values and right-side pairs over Q or one field of ``FIELDS``,
-    each value with a random sign, in a random order.  Rationals come as
-    ints, ``Fraction``s and ``Surd``s."""
-    d = draw(st.sampled_from((0,) + FIELDS))
+def _entries_of_one_field(draw, fields=(0,) + FIELDS):
+    """Radicand values and right-side pairs over Q or one field of ``fields``
+    (0 for Q), each value with a random sign, in a random order.  Rationals
+    come as ints, ``Fraction``s and ``Surd``s."""
+    d = draw(st.sampled_from(fields))
     rational = st.builds(F, st.integers(-60, 60), st.integers(1, 15))
     if d:
         values = st.builds(Surd, rational, rational, st.just(d))
@@ -546,15 +557,41 @@ def _entries_of_one_field(draw):
     return draw(st.permutations(radicand)), draw(st.permutations(rhs))
 
 
-@settings(max_examples=200, deadline=None)
-@given(_entries_of_one_field())
-def test_canonical_form_matches_the_surd_reference(entries):
-    radicand, rhs = entries
+def _canonical_form_matches_the_surd_reference(radicand: list, rhs: list) -> None:
     identity = VariationIdentity(F(2), tuple(radicand), tuple(rhs))
     expected = [v for v, _ in canonical_reference((v, 1) for v in radicand)]
     assert list(identity.radicand_entries) == expected
     assert list(identity.rhs_entries) == canonical_reference(rhs)
     assert all(type(v) is Surd for v in identity.radicand_entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_entries_of_one_field())
+def test_canonical_form_matches_the_surd_reference(entries):
+    _canonical_form_matches_the_surd_reference(*entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_entries_of_one_field(fields=(0,)))
+def test_canonical_form_matches_the_surd_reference_over_q(entries):
+    # Over Q the lists are sorted on the integer key, not the comparator.
+    _canonical_form_matches_the_surd_reference(*entries)
+
+
+def test_only_irrational_entries_are_cleared_as_pairs():
+    # A rational entry is read from as_integer_ratio(): a long identity is
+    # built, parsed and rendered without _clear_pair, and a surd-high member
+    # over sqrt(10^12 + 38) clears only its four irrational entries, the
+    # roots x and y on each side.
+    member = surd_family_high(10**12 + 39)
+    with mock.patch("ramid.identity._clear_pair", side_effect=exact._clear_pair) as cleared:
+        long = long_identity(40, 20)
+        parsed = VariationIdentity.from_json(long.to_json())
+        render_latex(parsed)
+        render_text(parsed)
+        assert parsed == long and cleared.call_count == 0
+        assert verify_variation(member)
+    assert cleared.call_count == 4
 
 
 def test_canonical_form_flips_a_negative_entry_without_surd_negation():
