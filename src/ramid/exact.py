@@ -1,11 +1,11 @@
-"""Exact scalar arithmetic: arbitrary-precision rationals and real quadratic surds.
+"""Exact scalars: arbitrary-precision rationals and real quadratic surds.
 
 Rationals are ``fractions.Fraction`` (always reduced, positive denominator),
 which already carries the invariants and the ``p/q`` string format required
 here.  ``Surd`` represents ``p + q*sqrt(d)`` with rational ``p``, ``q`` and a
-squarefree integer radicand ``d``, so equality and hashing are structural;
-arithmetic results keep their operands' normalized field.  Immutable: the
-fields are set once, through the slot descriptors, when a ``Surd`` is built.
+squarefree integer radicand ``d``, so equality and hashing are structural.
+Immutable: the fields are set once, through the slot descriptors, when a
+``Surd`` is built.
 A radicand n is written f*s*s, f squarefree, by ``squarefree_decompose``:
 gcd(n, P), P the product of the primes below 4096, holds its small primes,
 Miller-Rabin with the fewest exact bases and Pollard rho find the rest, and
@@ -21,11 +21,11 @@ from __future__ import annotations
 import re
 from collections import OrderedDict
 from fractions import Fraction
-from functools import cache, total_ordering
+from functools import cache
 from itertools import compress
 from math import gcd, isqrt, lcm, prod
 
-from .errors import FactoringLimitError, IncompatibleFieldError, PreconditionError
+from .errors import FactoringLimitError, PreconditionError
 
 _RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?", re.ASCII)
 _SURD_RE = re.compile(
@@ -327,16 +327,16 @@ def _sign(a: int | Fraction, b: int | Fraction, d: int) -> int:
     return sa if a * a > b * b * d else -sa
 
 
-@total_ordering
 class Surd:
     """Immutable element ``p + q*sqrt(d)`` of a real quadratic field.
 
+    A value type: it is built, compared, hashed and printed, and the exact
+    checks read its fields as integers; it has no arithmetic and no order.
     ``d`` is kept squarefree (square parts are folded into ``q``), ``q = 0``
-    forces ``d = 0``, and pure rationals embed as ``d = 0``.  The constructor
-    normalizes; arithmetic results keep the operands' normalized field, and
-    int or ``Fraction`` operands embed without normalizing.  ``<`` takes the
-    exact sign of the difference without building it.  ``p`` and ``q`` are
-    ints or ``Fraction``s, ``d`` an int; floats are rejected.
+    forces ``d = 0``, and pure rationals embed as ``d = 0``, so a ``Surd``
+    with q = 0 equals and hashes as its int or ``Fraction``.  The constructor
+    normalizes.  ``p`` and ``q`` are ints or ``Fraction``s, ``d`` an int;
+    floats are rejected.
     """
 
     __slots__ = ("p", "q", "d")
@@ -381,117 +381,20 @@ class Surd:
         # pickle and copy rebuild through the constructor, not by setting slots
         return Surd, (self.p, self.q, self.d)
 
-    @property
-    def is_rational(self) -> bool:
-        return self.q == 0
-
-    def as_rational(self) -> Fraction:
-        if self.q != 0:
-            raise ValueError(f"{self} is irrational")
-        return self.p
-
-    def _coerce(self, other: object) -> Surd | None:
-        # A rational operand embeds as d = 0; it needs no normalization.
-        if isinstance(other, Surd):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Surd._field(as_rational("operand", other), _ZERO, 0)
-        return None
-
-    def _common_d(self, other: Surd) -> int:
-        if self.d and other.d and self.d != other.d:
-            raise IncompatibleFieldError(
-                f"cannot mix sqrt({self.d}) with sqrt({other.d})"
-            )
-        return self.d or other.d
-
-    def __add__(self, other: object) -> Surd:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        d = self._common_d(rhs)
-        return Surd._field(self.p + rhs.p, self.q + rhs.q, d)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> Surd:
-        return Surd._field(-self.p, -self.q, self.d)
-
-    def __sub__(self, other: object) -> Surd:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other: object) -> Surd:
-        return (-self) + other
-
-    def __mul__(self, other: object) -> Surd:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        d = self._common_d(rhs)
-        return Surd._field(
-            self.p * rhs.p + self.q * rhs.q * d,
-            self.p * rhs.q + self.q * rhs.p,
-            d,
-        )
-
-    __rmul__ = __mul__
-
-    def conjugate(self) -> Surd:
-        return Surd._field(self.p, -self.q, self.d)
-
-    def norm(self) -> Fraction:
-        """Field norm ``p*p - q*q*d`` (the product with the conjugate)."""
-        return self.p * self.p - self.q * self.q * self.d
-
-    def inverse(self) -> Surd:
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError(f"{self} has no inverse")
-        return Surd._field(self.p / n, -self.q / n, self.d)
-
-    def __truediv__(self, other: object) -> Surd:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self * rhs.inverse()
-
-    def __rtruediv__(self, other: object) -> Surd:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs * self.inverse()
-
-    def sign(self) -> int:
-        """Exact sign of ``p + q*sqrt(d)``: compares p*p against q*q*d."""
-        return _sign(self.p, self.q, self.d)
-
     def __eq__(self, other: object) -> bool:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return (self.p, self.q, self.d) == (rhs.p, rhs.q, rhs.d)
+        if isinstance(other, Surd):
+            return (self.p, self.q, self.d) == (other.p, other.q, other.d)
+        if isinstance(other, (int, Fraction)):
+            return self.q == 0 and self.p == other
+        return NotImplemented
 
     def __hash__(self) -> int:
         if self.q == 0:
             return hash(self.p)
         return hash((self.p, self.q, self.d))
 
-    def __lt__(self, other: object) -> bool:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        if not (self.q or rhs.q):
-            return self.p < rhs.p
-        return _sign(self.p - rhs.p, self.q - rhs.q, self._common_d(rhs)) < 0
-
     def __bool__(self) -> bool:
         return self.p != 0 or self.q != 0
-
-    def __float__(self) -> float:
-        return float(self.p) + float(self.q) * self.d ** 0.5
 
     def __str__(self) -> str:
         if not self.d:

@@ -11,9 +11,9 @@ shape: a rational scale, any number of radicand factors ``(1 - 1/v^2)`` and
 any number of signed right-side factors ``(1 +/- 1/w)``, with the values
 drawn from a single real quadratic field.  Verification never takes a square
 root: it checks that both sides are nonnegative and that the radicand equals
-the square of the right side, exactly.  ``radicand()`` and ``rhs_product()``
-stay as the exact values of both sides, the references the property tests
-compare the integer checks against.
+the square of the right side, exactly.  The exact values of both sides, in
+``Fraction`` and field arithmetic, are in ``tests/brute.py``: the references
+the property tests compare the integer checks against.
 
 Both records are immutable named tuples (``collections.namedtuple``
 subclasses without an instance dict), equal to, hashed and ordered as the
@@ -144,18 +144,6 @@ class IdentityTuple(namedtuple("IdentityTuple", "t A x y z")):
         return cls(*iterable)
 
     __reduce__ = _rebuilt_through_new
-
-    def radicand(self) -> Fraction:
-        r = self.t
-        for v in self[1:]:
-            r *= 1 - 1 / (v * v)
-        return r
-
-    def rhs_product(self) -> Fraction:
-        s = _ONE
-        for v in self[2:]:
-            s *= 1 + 1 / v
-        return s
 
     def to_json_dict(self, classification: Classification | None = None) -> dict:
         d = {name: str(v) for name, v in zip(self._fields, self)}
@@ -289,18 +277,6 @@ class VariationIdentity(namedtuple("VariationIdentity", "scale radicand_entries 
             d = d or v.d
         return d
 
-    def radicand(self) -> Surd:
-        r = Surd(self.scale)
-        for v in self.radicand_entries:
-            r = r * (Surd(1) - (v * v).inverse())
-        return r
-
-    def rhs_product(self) -> Surd:
-        s = Surd(1)
-        for value, sign in self.rhs_entries:
-            s = s * (Surd(1) + sign * value.inverse())
-        return s
-
     def to_json_dict(self) -> dict:
         return {
             "scale": str(self.scale),
@@ -345,8 +321,8 @@ def _times(x: tuple[int, int], y: tuple[int, int], f: int) -> tuple[int, int]:
 def verify_variation(identity: VariationIdentity) -> bool:
     """Exact truth of the identity: radicand and right side nonnegative,
     radicand equal to the square of the right side.  Decided in integer pairs
-    over one denominator (see the module docstring); ``radicand()`` and
-    ``rhs_product()`` are the ``Surd`` reference for it."""
+    over one denominator (see the module docstring); ``variation_sides`` in
+    ``tests/brute.py`` is the field-arithmetic reference for it."""
     f = identity.field_radicand()
     sn, sd = identity.scale.as_integer_ratio()
     n0, n1, D0, D1 = sn, 0, 1, 0  # num and D as pairs

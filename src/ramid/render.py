@@ -62,13 +62,12 @@ def _latex_rational(n: int, d: int) -> str:
 def _latex_value(value: tuple[int, int] | Surd) -> str:
     if type(value) is tuple:
         return _latex_rational(*value)
+    (pn, pd), (qn, qd) = value.p.as_integer_ratio(), value.q.as_integer_ratio()
     root = rf"\sqrt{{{value.d}}}"
-    q = abs(value.q)
-    tail = root if q == 1 else f"{_latex_rational(*q.as_integer_ratio())}{root}"
-    if value.p == 0:  # every entry rendered is canonical, so positive: q > 0
+    tail = root if abs(qn) == qd == 1 else f"{_latex_rational(abs(qn), qd)}{root}"
+    if not pn:  # every entry rendered is canonical, so positive: q > 0
         return tail
-    op = "+" if value.q > 0 else "-"
-    return f"{_latex_rational(*value.p.as_integer_ratio())}{op}{tail}"
+    return f"{_latex_rational(pn, pd)}{'+' if qn > 0 else '-'}{tail}"
 
 
 def _latex_radicand_factor(value: tuple[int, int] | Surd) -> str:

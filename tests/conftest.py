@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
+from brute import lift, variation_sides
 from ramid import (
     IdentityTuple,
     Surd,
@@ -133,10 +134,10 @@ _NONTRIVIAL = _RATIONALS.filter(lambda v: v not in (0, 1, -1))
 
 
 def canonical_reference(entries) -> list[tuple[Surd, int]]:
-    """The canonical form of ``VariationIdentity``'s entries, in ``Surd``
+    """The canonical form of ``VariationIdentity``'s entries, in ``FieldSurd``
     arithmetic: each negative (v, s) becomes (-v, -s), then the pairs ascend
     by (value, -sign), so "+" comes first among equal values."""
-    pairs = [(Surd(0) + v, s) for v, s in entries]
+    pairs = [(lift(v), s) for v, s in entries]
     flipped = [(-v, -s) if v < 0 else (v, s) for v, s in pairs]
     return sorted(flipped, key=lambda pair: (pair[0], -pair[1]))
 
@@ -164,6 +165,10 @@ def tuples_with_ties(draw):
     return IdentityTuple(draw(_NONZERO), A, x, y, z)
 
 
+def _conjugate(v: Surd) -> Surd:
+    return Surd(v.p, -v.q, v.d)
+
+
 @st.composite
 def variations(draw, fields=(0,) + FIELDS):
     """Variations over Q or one field of ``fields`` (0 for Q), with up to 6
@@ -185,12 +190,12 @@ def variations(draw, fields=(0,) + FIELDS):
     rationals = st.builds(Surd, _NONTRIVIAL)
     radicand = draw(st.lists(entries, max_size=2))
     rhs = draw(st.lists(signed, max_size=1))
-    radicand += [v.conjugate() for v in radicand] + draw(st.lists(rationals, max_size=2))
-    rhs += [(v.conjugate(), s) for v, s in rhs] + draw(
+    radicand += [_conjugate(v) for v in radicand] + draw(st.lists(rationals, max_size=2))
+    rhs += [(_conjugate(v), s) for v, s in rhs] + draw(
         st.lists(st.tuples(rationals, st.sampled_from((1, -1))), max_size=2)
     )
     unscaled = VariationIdentity(1, tuple(radicand), tuple(rhs))
-    r, s = unscaled.radicand().as_rational(), unscaled.rhs_product().as_rational()
+    r, s = (side.as_rational() for side in variation_sides(unscaled))
     return VariationIdentity(s * s / r, unscaled.radicand_entries, unscaled.rhs_entries)
 
 

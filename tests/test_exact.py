@@ -1,6 +1,7 @@
 """Rational and quadratic-surd arithmetic."""
 
 import itertools
+import operator
 import random
 from fractions import Fraction
 from math import isqrt, prod
@@ -9,13 +10,15 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from brute import is_prime_reference
+from brute import FieldSurd, is_prime_reference, lift
 from conftest import FIELDS
 from ramid import (
     FactoringLimitError,
+    IdentityTuple,
     IncompatibleFieldError,
     PreconditionError,
     Surd,
+    VariationIdentity,
     discover,
     general_infinite_family,
     long_identity,
@@ -379,44 +382,44 @@ def test_surd_normalize_idempotent_and_value_preserving():
         again = Surd(s.p, s.q, s.d)
         assert (again.p, again.q, again.d) == (s.p, s.q, s.d)
         raw = float(p) + float(q) * d**0.5
-        assert abs(float(s) - raw) <= 1e-12 * max(1.0, abs(raw))
+        assert abs(float(lift(s)) - raw) <= 1e-12 * max(1.0, abs(raw))
 
 
 def test_surd_mul_conjugate_is_rational():
-    s = Surd(1, 1, 2)
-    assert s * Surd(1, -1, 2) == Surd(-1)
+    s = FieldSurd(1, 1, 2)
+    assert s * FieldSurd(1, -1, 2) == FieldSurd(-1)
 
 
 def test_surd_mul_sqrt2_squared():
-    assert Surd(0, 1, 2) * Surd(0, 1, 2) == Surd(2)
+    assert FieldSurd(0, 1, 2) * FieldSurd(0, 1, 2) == FieldSurd(2)
 
 
 def test_surd_mul_collects_terms():
     # (1 + 2*sqrt3)(2 + sqrt3) = 2 + 2*3 + (1 + 4)*sqrt3
-    assert Surd(1, 2, 3) * Surd(2, 1, 3) == Surd(8, 5, 3)
+    assert FieldSurd(1, 2, 3) * FieldSurd(2, 1, 3) == FieldSurd(8, 5, 3)
 
 
 def test_surd_mixed_radicands_rejected():
     with pytest.raises(IncompatibleFieldError):
-        Surd(0, 1, 2) * Surd(0, 1, 3)
+        FieldSurd(0, 1, 2) * FieldSurd(0, 1, 3)
     with pytest.raises(IncompatibleFieldError):
-        Surd(0, 1, 2) + Surd(0, 1, 3)
+        FieldSurd(0, 1, 2) + FieldSurd(0, 1, 3)
 
 
 def test_surd_rational_mixes_with_any_field():
-    assert Surd(3) * Surd(1, 1, 5) == Surd(3, 3, 5)
+    assert FieldSurd(3) * FieldSurd(1, 1, 5) == FieldSurd(3, 3, 5)
 
 
 def test_surd_division_and_zero():
-    s = Surd(1, 1, 2)
-    assert s / s == Surd(1)
-    assert 1 / Surd(0, 1, 2) == Surd(0, F(1, 2), 2)
+    s = FieldSurd(1, 1, 2)
+    assert s / s == FieldSurd(1)
+    assert 1 / FieldSurd(0, 1, 2) == FieldSurd(0, F(1, 2), 2)
     with pytest.raises(ZeroDivisionError):
-        s / Surd(0)
+        s / FieldSurd(0)
 
 
-def _random_surd(rng, d):
-    return Surd(
+def _random_surd(rng, d, cls=Surd):
+    return cls(
         F(rng.randint(-30, 30), rng.randint(1, 12)),
         F(rng.randint(-30, 30), rng.randint(1, 12)),
         d,
@@ -427,13 +430,13 @@ def _random_surd(rng, d):
 def test_surd_field_axioms(d):
     rng = random.Random(d)
     for _ in range(60):
-        a, b, c = (_random_surd(rng, d) for _ in range(3))
+        a, b, c = (_random_surd(rng, d, FieldSurd) for _ in range(3))
         assert (a + b) + c == a + (b + c)
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
         assert a + b == b + a and a * b == b * a
-        if a != Surd(0):
-            assert a * a.inverse() == Surd(1)
+        if a != FieldSurd(0):
+            assert a * a.inverse() == FieldSurd(1)
             assert (a * a.conjugate()).is_rational
 
 
@@ -450,26 +453,26 @@ def test_rational_field_axioms_randomized():
 
 
 def test_surd_sign_exact():
-    assert Surd(3, -2, 2).sign() == 1  # 9 > 8
-    assert Surd(2, -2, 2).sign() == -1  # 4 < 8
-    assert Surd(-3, 2, 2).sign() == -1
-    assert Surd(-2, 2, 2).sign() == 1
-    assert Surd(0).sign() == 0
-    assert (Surd(1, 1, 2) - Surd(1, 1, 2)).sign() == 0
+    assert FieldSurd(3, -2, 2).sign() == 1  # 9 > 8
+    assert FieldSurd(2, -2, 2).sign() == -1  # 4 < 8
+    assert FieldSurd(-3, 2, 2).sign() == -1
+    assert FieldSurd(-2, 2, 2).sign() == 1
+    assert FieldSurd(0).sign() == 0
+    assert (FieldSurd(1, 1, 2) - FieldSurd(1, 1, 2)).sign() == 0
 
 
 def test_surd_ordering_matches_floats():
     rng = random.Random(5)
     for _ in range(200):
-        a, b = _random_surd(rng, 7), _random_surd(rng, 7)
+        a, b = _random_surd(rng, 7, FieldSurd), _random_surd(rng, 7, FieldSurd)
         assert (a < b) == (float(a) < float(b) and a != b)
         assert (a > b) == (float(a) > float(b) and a != b)
         assert (a <= b) != (a > b) and (a >= b) != (a < b)
 
 
 def test_surd_total_order_against_rationals():
-    assert Surd(0, 1, 2) > 1
-    assert Surd(0, 1, 2) < F(3, 2)
+    assert FieldSurd(0, 1, 2) > 1
+    assert FieldSurd(0, 1, 2) < F(3, 2)
 
 
 def test_surd_str_round_trip():
@@ -486,15 +489,15 @@ _FIELDS = st.sampled_from(FIELDS)
 _RATIONALS = st.builds(F, st.integers(-10**6, 10**6), st.integers(1, 10**4))
 
 
-def _surds(d):
-    return st.builds(Surd, _RATIONALS, st.one_of(st.just(F(0)), _RATIONALS), st.just(d))
+def _surds(d, cls=Surd):
+    return st.builds(cls, _RATIONALS, st.one_of(st.just(F(0)), _RATIONALS), st.just(d))
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data(), _FIELDS)
 def test_arithmetic_keeps_the_normalized_field(data, d):
-    s = data.draw(_surds(d))
-    other = data.draw(st.one_of(_surds(d), _RATIONALS, st.integers(-50, 50)))
+    s = data.draw(_surds(d, FieldSurd))
+    other = data.draw(st.one_of(_surds(d, FieldSurd), _RATIONALS, st.integers(-50, 50)))
     results = [s + other, other + s, s - other, other - s, s * other, other * s,
                -s, s.conjugate(), s - s, s + (-s), s * s.conjugate()]
     if other != 0:
@@ -513,8 +516,8 @@ def test_arithmetic_keeps_the_normalized_field(data, d):
 @given(st.data(), _FIELDS, _FIELDS)
 def test_arithmetic_rejects_mixed_fields(data, d, e):
     assume(d != e)
-    s = data.draw(_surds(d).filter(lambda v: not v.is_rational))
-    t = data.draw(_surds(e).filter(lambda v: not v.is_rational))
+    s = data.draw(_surds(d, FieldSurd).filter(lambda v: not v.is_rational))
+    t = data.draw(_surds(e, FieldSurd).filter(lambda v: not v.is_rational))
     for op in (lambda: s + t, lambda: s - t, lambda: s * t, lambda: s / t):
         with pytest.raises(IncompatibleFieldError):
             op()
@@ -523,22 +526,22 @@ def test_arithmetic_rejects_mixed_fields(data, d, e):
 @settings(max_examples=200, deadline=None)
 @given(st.data(), _FIELDS, _FIELDS)
 def test_comparisons_agree_with_the_sign_of_the_difference(data, d, e):
-    s = data.draw(_surds(d))
+    s = data.draw(_surds(d, FieldSurd))
     x = data.draw(st.one_of(_RATIONALS, st.integers(-50, 50)))
-    other = data.draw(st.one_of(_surds(d), st.just(x)))
+    other = data.draw(st.one_of(_surds(d, FieldSurd), st.just(x)))
     sign = (s - other).sign()
     assert (s < other, s == other, s > other) == (sign < 0, sign == 0, sign > 0)
     assert (s <= other, s >= other) == (sign <= 0, sign >= 0)
     assert (other < s, other > s) == (sign > 0, sign < 0)
-    ordered = sorted(data.draw(st.lists(_surds(d), max_size=8)) + [s])
+    ordered = sorted(data.draw(st.lists(_surds(d, FieldSurd), max_size=8)) + [s])
     assert all((b - a).sign() >= 0 for a, b in zip(ordered, ordered[1:]))
     # A rational operand is coerced to what the constructor makes of it.
     c, expected = s._coerce(x), Surd(x)
     assert (type(c.p), type(c.q)) == (F, F)
     assert (c.p, c.q, c.d) == (expected.p, expected.q, expected.d)
     if d != e:
-        t = data.draw(_surds(e).filter(lambda v: not v.is_rational))
-        u = s if not s.is_rational else Surd(s.p, 1, d)
+        t = data.draw(_surds(e, FieldSurd).filter(lambda v: not v.is_rational))
+        u = s if not s.is_rational else FieldSurd(s.p, 1, d)
         for op in (lambda: u < t, lambda: u > t, lambda: u <= t, lambda: sorted([u, t])):
             with pytest.raises(IncompatibleFieldError):
                 op()
@@ -593,3 +596,27 @@ def test_surd_hash_consistency():
     assert Surd._field(F(5), F(0), 7) == Surd(5) and hash(Surd._field(F(5), F(0), 7)) == hash(F(5))
     assert Surd._field(F(1), F(4), 2) == Surd(1, 2, 8)
     assert hash(Surd._field(F(1), F(4), 2)) == hash(Surd(1, 2, 8))
+
+
+def test_surd_is_a_value_type():
+    # Surd has no arithmetic and no order, so each use fails loudly; the
+    # field arithmetic is the reference FieldSurd's.  Equality and hashing
+    # agree with ints and Fractions, and with a FieldSurd of the same fields.
+    s = Surd(1, 1, 2)
+    ops = (operator.add, operator.sub, operator.mul, operator.truediv, operator.lt)
+    for op, (a, b) in itertools.product(ops, [(s, s), (s, 1), (1, s), (s, F(1, 2))]):
+        with pytest.raises(TypeError):
+            op(a, b)
+    for op in (float, operator.neg):
+        with pytest.raises(TypeError):
+            op(s)
+    assert not Surd(0) and Surd(0, 1, 2)
+    assert Surd(3) == 3 == F(3) and hash(Surd(3)) == hash(3) == hash(F(3))
+    assert Surd(1, 1, 2) != 1.0 and Surd(1) != 1.0
+    for value in (Surd(3), s, Surd(F(-7, 3), F(5, 2), 2)):
+        lifted = lift(value)
+        assert type(lifted) is FieldSurd and type(value) is Surd
+        assert lifted == value and value == lifted and hash(lifted) == hash(value)
+    assert not any(hasattr(Surd, name) for name in ("conjugate", "norm", "inverse", "sign"))
+    assert not any(hasattr(record, name) for record in (IdentityTuple, VariationIdentity)
+                   for name in ("radicand", "rhs_product"))

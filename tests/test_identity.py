@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from brute import lift, tuple_sides, variation_sides
 from conftest import (
     FIELDS,
     canonical_reference,
@@ -87,8 +88,9 @@ def test_near_miss_fails():
 
 def test_squares_differ_case():
     identity = tup(1, 2, 2, 2, 2)
-    assert identity.radicand() == F(81, 256)
-    assert identity.rhs_product() == F(27, 8)
+    r, s = tuple_sides(identity)
+    assert r == F(81, 256)
+    assert s == F(27, 8)
     assert not verify_tuple(identity)
 
 
@@ -136,7 +138,7 @@ def test_verify_depends_on_a_only_through_square():
 @settings(max_examples=500, deadline=None)
 @given(signed_tuples())
 def test_verify_tuple_matches_the_fraction_reference(identity):
-    r, s = identity.radicand(), identity.rhs_product()
+    r, s = tuple_sides(identity)
     holds = r >= 0 and s >= 0 and r == s * s
     assert verify_tuple(identity) == holds
     if holds:
@@ -242,6 +244,17 @@ def test_tuple_to_json_is_json_dumps_of_its_dict(identity, classification):
     )
 
 
+def _negated(v: Surd) -> Surd:
+    return Surd(-v.p, -v.q, v.d)
+
+
+def _signed(v, sign: int):
+    # v * sign for an int, a Fraction or a Surd.
+    if not isinstance(v, Surd):
+        return v * sign
+    return v if sign > 0 else _negated(v)
+
+
 def variation(scale, radicand, rhs) -> VariationIdentity:
     return VariationIdentity(
         scale=F(scale),
@@ -261,14 +274,15 @@ def test_variation_long_example():
 def test_variation_high_surd_instance_all_rational():
     v = variation(1, [5, 4, 11, 5, 3], [(11, 1), (5, 1), (3, -1)])
     assert verify_variation(v)
-    assert v.rhs_product() == Surd(F(48, 55))
-    assert v.radicand() == Surd(F(48, 55) * F(48, 55))
+    r, s = variation_sides(v)
+    assert s == Surd(F(48, 55))
+    assert r == Surd(F(48, 55) * F(48, 55))
 
 
 def test_variation_low_surd_instance_all_rational():
     v = variation(1, [-2, -3, -3, 5, 3], [(5, -1), (3, 1), (-3, 1)])
     assert verify_variation(v)
-    assert v.rhs_product() == Surd(F(32, 45))
+    assert variation_sides(v)[1] == Surd(F(32, 45))
 
 
 def test_variation_rejects_unit_rhs_value():
@@ -293,7 +307,7 @@ def test_variation_rejects_mixed_fields():
     for radicand, rhs in [
         ([r2, r3], [(9, 1)]),
         ([9], [(r2, 1), (r3, -1)]),  # within the right side only
-        ([1 + r2], [(1 + r3, 1)]),  # radicand in sqrt(2), right side in sqrt(3)
+        ([Surd(1, 1, 2)], [(Surd(1, 1, 3), 1)]),  # radicand in sqrt(2), right side in sqrt(3)
         ([r2, F(3, 2), r3], [(9, 1)]),  # a rational between the two fields
     ]:
         with pytest.raises(IncompatibleFieldError):
@@ -303,39 +317,39 @@ def test_variation_rejects_mixed_fields():
 def test_variation_orders_near_ties_exactly():
     # 12071/5000 < 1 + sqrt(2) < 120711/50000, apart by less than 1e-5
     lo, mid, hi = Surd(F(12071, 5000)), Surd(1, 1, 2), Surd(F(120711, 50000))
-    v = variation(1, [hi, -mid, lo], [(hi, -1), (-mid, 1), (mid, 1), (-lo, -1)])
-    assert v.radicand_entries == (lo, mid, hi) == tuple(sorted([hi, mid, lo]))
+    v = variation(1, [hi, _negated(mid), lo],
+                  [(hi, -1), (_negated(mid), 1), (mid, 1), (_negated(lo), -1)])
+    assert v.radicand_entries == (lo, mid, hi) == tuple(sorted(map(lift, [hi, mid, lo])))
     pairs = [(hi, -1), (mid, -1), (mid, 1), (lo, 1)]
     assert v.rhs_entries == ((lo, 1), (mid, 1), (mid, -1), (hi, -1))
-    assert v.rhs_entries == tuple(sorted(pairs, key=lambda e: (e[0], -e[1])))
+    assert v.rhs_entries == tuple(sorted(pairs, key=lambda e: (lift(e[0]), -e[1])))
 
 
 def test_variation_canonicalizes_signs_and_order():
     v = variation(1, [11, 9, -45, -24, -23], [(11, -1), (9, 1), (-45, 1)])
-    assert [e.as_rational() for e in v.radicand_entries] == [9, 11, 23, 24, 45]
-    assert [(e.as_rational(), s) for e, s in v.rhs_entries] == [
+    assert [lift(e).as_rational() for e in v.radicand_entries] == [9, 11, 23, 24, 45]
+    assert [(lift(e).as_rational(), s) for e, s in v.rhs_entries] == [
         (9, 1), (11, -1), (45, -1),
     ]
 
 
 def test_variation_genuine_surd_field():
-    s = Surd(0, 1, 2)  # sqrt(2)
+    one_plus, minus_one = Surd(1, 2, 2), Surd(-1, 2, 2)  # 2*sqrt(2) +- 1
     v = variation(
         1,
-        [3, 2, 7, Surd(1) + 2 * s, 2 * s - Surd(1)],
-        [(7, 1), (Surd(1) + 2 * s, 1), (2 * s - Surd(1), -1)],
+        [3, 2, 7, one_plus, minus_one],
+        [(7, 1), (one_plus, 1), (minus_one, -1)],
     )
     assert v.field_radicand() == 2
     assert verify_variation(v)
-    assert v.rhs_product() == Surd(F(32, 49))
+    assert variation_sides(v)[1] == Surd(F(32, 49))
 
 
 def test_variation_json_round_trip():
-    s = Surd(0, 1, 2)
     v = variation(
         F(3, 2),
-        [3, Surd(1) + 2 * s],
-        [(7, 1), (2 * s - Surd(1), -1)],
+        [3, Surd(1, 2, 2)],
+        [(7, 1), (Surd(-1, 2, 2), -1)],
     )
     again = VariationIdentity.from_json(v.to_json())
     assert again == v
@@ -472,11 +486,11 @@ def test_variation_from_tuple_matches_verifier():
     identity = tup(2, 3, 7, 11, 19)
     v = VariationIdentity.from_tuple(identity)
     assert verify_variation(v)
-    assert v.rhs_product() == Surd(identity.rhs_product())
+    assert variation_sides(v)[1] == Surd(tuple_sides(identity)[1])
 
 
 def _holds_by_surd_arithmetic(identity: VariationIdentity) -> bool:
-    r, s = identity.radicand(), identity.rhs_product()
+    r, s = variation_sides(identity)
     return r.sign() >= 0 and s.sign() >= 0 and r == s * s
 
 
@@ -513,7 +527,7 @@ def test_verify_variation_matches_the_surd_reference_on_families():
         assert verify_variation(identity) == _holds_by_surd_arithmetic(identity)
     assert all(verify_variation(v) for v in members)
     assert not any(verify_variation(v) for v in windows)
-    assert all(v.radicand() == v.rhs_product() * v.rhs_product() for v in windows)
+    assert all(r == s * s for r, s in map(variation_sides, windows))
 
 
 @settings(max_examples=200, deadline=None)
@@ -525,16 +539,16 @@ def test_variation_json_round_trip_property(identity):
 @settings(max_examples=200, deadline=None)
 @given(variations(), st.randoms(use_true_random=False))
 def test_canonical_form_ignores_entry_order_and_signs(identity, rng):
-    radicand = [-v for v in identity.radicand_entries]
-    rhs = [(-v, -s) for v, s in identity.rhs_entries]
+    radicand = [_negated(v) for v in identity.radicand_entries]
+    rhs = [(_negated(v), -s) for v, s in identity.rhs_entries]
     rng.shuffle(radicand)
     rng.shuffle(rhs)
     rebuilt = VariationIdentity(identity.scale, tuple(radicand), tuple(rhs))
     assert rebuilt == identity and rebuilt.to_json() == identity.to_json()
-    values = rebuilt.radicand_entries
+    values = [lift(v) for v in rebuilt.radicand_entries]
     assert all(v.sign() > 0 for v in values)
     assert all(a <= b for a, b in zip(values, values[1:]))
-    pairs = rebuilt.rhs_entries
+    pairs = [(lift(v), s) for v, s in rebuilt.rhs_entries]
     assert all(v.sign() > 0 for v, _ in pairs)
     assert all(a < b or (a == b and s >= t) for (a, s), (b, t) in zip(pairs, pairs[1:]))
 
@@ -550,7 +564,7 @@ def _entries_of_one_field(draw, fields=(0,) + FIELDS):
         values = st.builds(Surd, rational, rational, st.just(d))
     else:
         values = st.one_of(rational, rational.map(Surd), st.integers(-60, 60))
-    values = st.tuples(values, st.sampled_from((1, -1))).map(lambda vs: vs[0] * vs[1])
+    values = st.tuples(values, st.sampled_from((1, -1))).map(lambda vs: _signed(*vs))
     values = values.filter(lambda v: v not in (0, 1, -1))
     radicand = draw(st.lists(values, max_size=6))
     rhs = draw(st.lists(st.tuples(values, st.sampled_from((1, -1))), max_size=6))
@@ -596,11 +610,13 @@ def test_only_irrational_entries_are_cleared_as_pairs():
 
 def test_canonical_form_flips_a_negative_entry_without_surd_negation():
     # rebak at a = -7 has negative entries; each is flipped on its cleared
-    # integers, and no Surd is negated on the way.
-    neg = Surd.__neg__
-    with mock.patch.object(Surd, "__neg__", autospec=True, side_effect=neg) as counted:
+    # integers, and no Surd is negated on the way.  Surd has no negation: the
+    # one patched in counts any that the canonical form would make.
+    negated = []
+    counted = lambda v: negated.append(v) or _negated(v)  # noqa: E731
+    with mock.patch.object(Surd, "__neg__", counted, create=True):
         identity = VariationIdentity.from_tuple(rebak_family(F(-7)))
-    assert counted.call_count == 0
+    assert len(negated) == 0
     assert identity.to_json() == (
         '{"scale": "3/4", "radicand": ["7", "13", "19", "41"], '
         '"rhs": [["13", "-"], ["19", "-"], ["41", "-"]]}'
@@ -704,7 +720,10 @@ def test_renders_of_entries_with_no_rational_part():
 def test_renders_of_rational_variation_entries_pinned():
     # Recorded before rational entries were formatted from their ints: a
     # negative fractional scale with fractional entries (false, so unchecked),
-    # and long_identity(3, 2) with integer entries and a repeated 7.
+    # and long_identity(3, 2) with integer entries and a repeated 7.  Then,
+    # recorded before surd values were formatted from their ints, a false
+    # record over sqrt(2) with p = 0, a negative p, a fractional q, and p > 0
+    # with q < 0.
     record = {"scale": "-17/18", "radicand": ["5/2", "3"], "rhs": [["5/2", "+"], ["7/3", "-"]]}
     identity = VariationIdentity.from_json(json.dumps(record))
     assert render_latex(identity, unchecked=True) == (
@@ -724,4 +743,17 @@ def test_renders_of_rational_variation_entries_pinned():
     assert render_text(identity) == (
         "sqrt((1 - 1/5^2) * (1 - 1/6^2) * (1 - 1/7^2) * (1 - 1/7^2) * (1 - 1/8^2) * (1 - 1/11^2))"
         " = (1 + 1/5) * (1 - 1/7) * (1 - 1/11)"
+    )
+    record = {
+        "scale": "1",
+        "radicand": ["0 + 1*sqrt(2)", "3 - 1*sqrt(2)", "1/2 + 3/4*sqrt(2)", "-7/3 + 5/2*sqrt(2)"],
+        "rhs": [["3 - 1*sqrt(2)", "-"], ["0 + 2/3*sqrt(2)", "+"]],
+    }
+    identity = VariationIdentity.from_json(json.dumps(record))
+    assert render_latex(identity, unchecked=True) == (
+        r"\sqrt{\left(1-\frac{1}{\left(-\frac{7}{3}+\frac{5}{2}\sqrt{2}\right)^2}\right)"
+        r"\left(1-\frac{1}{\left(\sqrt{2}\right)^2}\right)"
+        r"\left(1-\frac{1}{\left(\frac{1}{2}+\frac{3}{4}\sqrt{2}\right)^2}\right)"
+        r"\left(1-\frac{1}{\left(3-\sqrt{2}\right)^2}\right)} = "
+        r"\left(1+\frac{1}{\frac{2}{3}\sqrt{2}}\right)\left(1-\frac{1}{3-\sqrt{2}}\right)"
     )
