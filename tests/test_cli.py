@@ -595,10 +595,10 @@ def _run_pin(name: str, monkeypatch, capsys, path: Path) -> tuple[int, str, str]
     else:
         stdin = pin.stdin + "\n"
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
-    argv = [str(path) if arg == "FILE" else arg for arg in pin.argv.split()]
-    code = main(argv)
+    argv = pin.argv.split()
+    code = main([str(path) if arg == "FILE" else arg for arg in argv])
     out, err = capsys.readouterr()
-    if "FILE" in pin.argv.split():
+    if "FILE" in argv:
         out, err = path.read_text(), out + err
     return code, out, err
 
